@@ -79,7 +79,10 @@ class HodgeDiamond:
     Construction enforces only the shape (square, odd side >= 3, integer
     entries); the symmetry and positivity invariants are checked explicitly
     through :meth:`validate` so that deliberately broken tables can be built
-    and reported on.
+    and reported on.  The table is immutable, so :meth:`validate` computes
+    the report of each level once and hands the same report to every later
+    caller (``require_valid``, ``chi_y``, the primitive decomposition); the
+    stored reports are not fields and take no part in ``==`` or ``hash``.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -103,6 +106,7 @@ class HodgeDiamond:
                     raise DimensionMismatchError(
                         f"entry ({p}, {q}) is not an integer: {value!r}"
                     )
+        object.__setattr__(self, "_reports", {})
 
     @property
     def n(self) -> int:
@@ -168,24 +172,37 @@ class HodgeDiamond:
         STRUCTURAL: nonnegative entries, the three symmetries, and (when the
         symmetries hold) nonnegativity of every primitive multiplicity.
         STRICT: STRUCTURAL plus the irreducibility corner values.
-        """
-        found = list(self.symmetry_violations())
-        if not found:
-            # Deferred import: the primitive count lives with the sl(2)
-            # decomposition machinery.
-            from .lefschetz import negative_primitive_cells
 
-            for p, q, value in negative_primitive_cells(self):
-                found.append(Violation(
-                    "negative_primitive", p, q,
-                    f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {value} is negative"))
-        if level is ValidationLevel.STRICT:
-            for (p, q, want) in ((0, 0, 1), (1, 0, 0), (2, 0, 1)):
-                if self.rows[p][q] != want:
+        Each level is computed at most once per diamond, and STRICT reuses
+        the STRUCTURAL report, so the table is scanned once.
+        """
+        reports = self._reports
+        if level in reports:
+            return reports[level]
+        structural = reports.get(ValidationLevel.STRUCTURAL)
+        if structural is None:
+            found = list(self.symmetry_violations())
+            if not found:
+                # Deferred import: the primitive count lives with the sl(2)
+                # decomposition machinery.
+                from .lefschetz import negative_primitive_cells
+
+                for p, q, value in negative_primitive_cells(self):
                     found.append(Violation(
-                        "irreducibility", p, q,
-                        f"h^{{{p},{q}}} = {self.rows[p][q]}, irreducibility forces {want}"))
-        return ValidationReport(level, tuple(found))
+                        "negative_primitive", p, q,
+                        f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {value} is negative"))
+            structural = ValidationReport(ValidationLevel.STRUCTURAL, tuple(found))
+            reports[ValidationLevel.STRUCTURAL] = structural
+        if level is not ValidationLevel.STRICT:
+            return structural
+        found = list(structural.violations)
+        for (p, q, want) in ((0, 0, 1), (1, 0, 0), (2, 0, 1)):
+            if self.rows[p][q] != want:
+                found.append(Violation(
+                    "irreducibility", p, q,
+                    f"h^{{{p},{q}}} = {self.rows[p][q]}, irreducibility forces {want}"))
+        reports[level] = report = ValidationReport(level, tuple(found))
+        return report
 
     def require_valid(self, level: ValidationLevel = ValidationLevel.STRUCTURAL):
         report = self.validate(level)
@@ -201,10 +218,7 @@ class HodgeDiamond:
         equal leading and trailing coefficients (column symmetry).
         """
         self.require_valid(ValidationLevel.STRUCTURAL)
-        coeffs = {
-            p: sum((-1) ** q * c for q, c in enumerate(row))
-            for p, row in enumerate(self.rows)
-        }
+        coeffs = {p: sum(row[0::2]) - sum(row[1::2]) for p, row in enumerate(self.rows)}
         return LaurentPolynomial(coeffs)
 
     def classical_values(self) -> ClassicalValues:

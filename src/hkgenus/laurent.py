@@ -44,8 +44,11 @@ class LaurentPolynomial:
     def __init__(self, terms: Coefficients = ()):
         cleaned: dict[int, int] = {}
         for exponent, coefficient in dict(terms).items():
-            _check_int(exponent)
-            _check_int(coefficient)
+            # Exact ``int`` passes at once; anything else gets the full check.
+            if type(exponent) is not int:
+                _check_int(exponent)
+            if type(coefficient) is not int:
+                _check_int(coefficient)
             if coefficient != 0:
                 cleaned[exponent] = coefficient
         object.__setattr__(self, "_terms", cleaned)
@@ -225,11 +228,12 @@ class LaurentPolynomial:
     def evaluate(self, value: int) -> Union[int, Fraction]:
         """Evaluate at an integer point, exactly.
 
-        Negative exponents produce exact Fractions; the result collapses to an
-        int whenever it is integral (always the case at value = +-1).
+        Terms with nonnegative exponents are summed as ints; negative exponents
+        produce exact Fractions.  The result collapses to an int whenever it is
+        integral (always the case at value = +-1).
         """
         _check_int(value)
-        total = Fraction(0)
+        total: Union[int, Fraction] = 0
         for e, c in self._terms.items():
             if e >= 0:
                 total += c * value**e
@@ -239,9 +243,7 @@ class LaurentPolynomial:
                         "cannot evaluate a negative exponent at 0"
                     )
                 total += Fraction(c, value**-e)
-        if total.denominator == 1:
-            return int(total)
-        return total
+        return int(total) if total.denominator == 1 else total
 
     # -- rendering and parsing ---------------------------------------------
 
@@ -305,7 +307,26 @@ def substitute_y_plus_yinv(p: LaurentPolynomial) -> LaurentPolynomial:
 
     ``p`` must be an ordinary polynomial (no negative exponents); the result
     is always palindromic because y + y^-1 is invariant under y -> 1/y.
+
+    Each monomial is expanded in closed form by the binomial theorem,
+
+        s_k t^k  ->  s_k * sum_{j=0}^{k} C(k, j) y^(k-2j),
+
+    with the binomials C(k, j) kept as running integers, so no polynomial
+    products are formed; the result equals ``p.compose(Y_PLUS_YINV)``.  The
+    character form t_{r+1} - t_{r-1} = y^r + y^-r is deliberately not used
+    here: the telescoped route to S(t) weights exactly those differences by
+    the coefficients of chi_{-y}/y^n, so a left-hand side obtained through
+    the character form would equal the right-hand side of the supertrace
+    identity by construction, and the exact check would become a tautology.
     """
     if p.valuation() is not None and p.valuation() < 0:
         raise ValueError("substitution requires a polynomial with nonnegative exponents")
-    return p.compose(Y_PLUS_YINV)
+    out: dict[int, int] = {}
+    for k, s_k in p.terms():
+        binom = 1
+        for j in range(k + 1):
+            e = k - 2 * j
+            out[e] = out.get(e, 0) + s_k * binom
+            binom = binom * (k - j) // (j + 1)
+    return LaurentPolynomial(out)

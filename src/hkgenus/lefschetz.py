@@ -94,13 +94,17 @@ def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
     when any entry comes out negative (the input then lies outside the
     hyper-Kahler domain, a hard-Lefschetz violation for the 2-form).
     """
-    symmetry = d.symmetry_violations()
-    if symmetry:
+    report = d.validate(ValidationLevel.STRUCTURAL)
+    if not report.ok:
+        # The report holds either symmetry and sign violations or, when those
+        # all pass, the negative primitive cells in row-major order.
+        first = report.violations[0]
+        if first.kind == "negative_primitive":
+            p, q = first.p, first.q
+            raise NegativePrimitiveError(p, q, d.rows[p][q] - (d.rows[p - 2][q] if p >= 2 else 0))
         raise ValidationError(
             "primitive multiplicities need a symmetric, nonnegative table:\n"
-            + "\n".join(f"  {v}" for v in symmetry))
-    for p, q, value in negative_primitive_cells(d):
-        raise NegativePrimitiveError(p, q, value)
+            + "\n".join(f"  {v}" for v in report.violations))
     rows = tuple(
         tuple(d.rows[p][q] - (d.rows[p - 2][q] if p >= 2 else 0)
               for q in range(d.side))
@@ -113,19 +117,17 @@ def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:
     """Rebuild the Hodge table from primitive multiplicities.
 
     For p <= n each irreducible string starting at (p - 2j, q) contributes one
-    dimension, so h^{p,q} = sum_j prim(p-2j, q); rows past the middle are read
-    through the column symmetry h^{p,q} = h^{2n-p,q}.  Exact inverse of
+    dimension, so h^{p,q} = sum_j prim(p-2j, q), built row by row as
+    h^{p,q} = h^{p-2,q} + prim(p, q); rows past the middle are read through
+    the column symmetry h^{p,q} = h^{2n-p,q}.  Exact inverse of
     :func:`primitive_multiplicities` on every valid input.
     """
     n = pt.n
-    side = 2 * n + 1
-    rows = [[0] * side for _ in range(side)]
-    for p in range(n + 1):
-        for q in range(side):
-            rows[p][q] = sum(pt.rows[p - 2 * j][q] for j in range(p // 2 + 1))
-    for p in range(n + 1, side):
-        rows[p] = list(rows[2 * n - p])
-    return HodgeDiamond(tuple(tuple(r) for r in rows))
+    rows = list(pt.rows[:2])
+    for p in range(2, n + 1):
+        rows.append(tuple(a + b for a, b in zip(rows[p - 2], pt.rows[p])))
+    rows.extend(rows[2 * n - p] for p in range(n + 1, 2 * n + 1))
+    return HodgeDiamond(tuple(rows))
 
 
 def supertrace_via_primitives(d: HodgeDiamond) -> LaurentPolynomial:
@@ -133,8 +135,8 @@ def supertrace_via_primitives(d: HodgeDiamond) -> LaurentPolynomial:
     pt = primitive_multiplicities(d)
     n = pt.n
     total = LaurentPolynomial.zero()
-    for p in range(n + 1):
-        weight = sum((-1) ** (p + q) * pt.rows[p][q] for q in range(2 * n + 1))
+    for p, row in enumerate(pt.rows):
+        weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
         total = total + character(n - p + 1) * weight
     return total
 
@@ -150,7 +152,8 @@ def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
     n = d.n
     total = LaurentPolynomial.zero()
     for p in range(n + 1):
-        weight = sum((-1) ** (p + q) * d.rows[p][q] for q in range(2 * n + 1))
+        row = d.rows[p]
+        weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
         total = total + (character(n - p + 1) - character(n - p - 1)) * weight
     return total
 

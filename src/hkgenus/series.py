@@ -137,12 +137,6 @@ class TruncatedSeries:
                 out[e] = out.get(e, 0) + c1 * c2
         return TruncatedSeries(self.variables, limits, out)
 
-    def scale(self, factor: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.variables, self.limits,
-            {e: factor * c for e, c in self._terms.items()},
-        )
-
     # -- restriction and specialization --------------------------------------
 
     def extract(self, var: str, order: int) -> "TruncatedSeries":

@@ -1,5 +1,7 @@
 """Unit tests for Hodge diamonds, validation levels and the chi_y genus."""
 
+import dataclasses
+
 import pytest
 
 from hkgenus.catalog import builtin
@@ -124,6 +126,46 @@ def test_negative_entry_reported_with_location():
     report = HodgeDiamond(rows).validate(ValidationLevel.STRUCTURAL)
     assert any(v.kind == "negative_entry" and (v.p, v.q) == (1, 1)
                for v in report.violations)
+
+
+def test_corrupted_diamond_raises_the_same_report_on_every_call():
+    rows = [list(r) for r in K3_ROWS]
+    rows[0][1] = 1  # breaks conjugation and column symmetry
+    corrupted = HodgeDiamond(rows)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as info:
+            corrupted.require_valid()
+        raised.append(info.value)
+    first, again = raised
+    assert str(first) == str(again)
+    assert first.report is again.report
+    # The reused report is the one a fresh copy of the table computes.
+    assert first.report == HodgeDiamond(rows).validate()
+    with pytest.raises(ValidationError) as info:
+        corrupted.chi_y()
+    assert info.value.report is first.report
+
+
+def test_cached_report_is_not_part_of_equality_or_hash():
+    validated = HodgeDiamond(K3_ROWS)
+    assert validated.validate(ValidationLevel.STRICT).ok
+    fresh = HodgeDiamond(K3_ROWS)
+    assert validated == fresh
+    assert hash(validated) == hash(fresh)
+    assert repr(validated) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(HodgeDiamond)] == ["rows", "name"]
+
+
+def test_strict_report_extends_the_structural_one():
+    doubled = HodgeDiamond(((2, 0, 2), (0, 40, 0), (2, 0, 3)))
+    structural = doubled.validate(ValidationLevel.STRUCTURAL)
+    strict = doubled.validate(ValidationLevel.STRICT)
+    assert strict.level is ValidationLevel.STRICT
+    assert doubled.validate(ValidationLevel.STRICT) is strict
+    assert strict.violations[:len(structural.violations)] == structural.violations
+    assert [v.kind for v in strict.violations[len(structural.violations):]] == [
+        "irreducibility", "irreducibility"]
 
 
 def test_entry_accessor_bounds():

@@ -53,18 +53,49 @@ def test_negative_primitive_detected():
     assert diamond.validate().violations  # negative_primitive caught by validate
     with pytest.raises(NegativePrimitiveError) as info:
         primitive_multiplicities(diamond)
-    assert (info.value.p, info.value.q) == (2, 0)
+    assert (info.value.p, info.value.q, info.value.value) == (2, 0, -1)
+    assert str(info.value) == "negative primitive multiplicity -1 at (p, q) = (2, 0)"
 
 
 def test_primitive_requires_symmetric_table():
     rows = ((1, 0, 0), (0, 0, 0), (0, 0, 1))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         primitive_multiplicities(HodgeDiamond(rows))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == (
+        "primitive multiplicities need a symmetric, nonnegative table:\n"
+        "  [column_symmetry] at (p=0, q=0): h^{0,0} = 1 != 0 = h^{2,0}\n"
+        "  [column_symmetry] at (p=0, q=2): h^{0,2} = 0 != 1 = h^{2,2}\n"
+        "  [column_symmetry] at (p=2, q=0): h^{2,0} = 0 != 1 = h^{0,0}\n"
+        "  [column_symmetry] at (p=2, q=2): h^{2,2} = 1 != 0 = h^{0,2}")
 
 
 def test_primitive_table_rejects_negative_entries():
     with pytest.raises(NegativePrimitiveError):
         PrimitiveTable(1, ((1, 0, 1), (0, -1, 0)))
+
+
+def test_each_diamond_is_scanned_once(monkeypatch):
+    scanned = []
+    original = HodgeDiamond.symmetry_violations
+
+    def counting(self):
+        scanned.append(self)
+        return original(self)
+
+    monkeypatch.setattr(HodgeDiamond, "symmetry_violations", counting)
+    rng = random.Random(2024)
+    diamond = random_structural_diamond(rng, 6)
+    assert verify_supertrace_identity(diamond).passed
+    supertrace_value(diamond, random_sl2(rng))
+    primitive_multiplicities(diamond)
+    assert scanned == [diamond]
+    # The STRICT and STRUCTURAL reports share one scan.
+    scanned.clear()
+    k3_2 = HodgeDiamond(K3_2.rows)
+    rozansky_witten_invariant(k3_2, SL2Element(2, 1, 1, 1))
+    verify_supertrace_identity(k3_2)
+    assert scanned == [k3_2]
 
 
 def test_round_trip_on_catalog():

@@ -1,12 +1,15 @@
 """Property-based tests: exact ring axioms and structural invariants."""
 
+import enum
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkgenus.hodge import ValidationLevel
-from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
+from hkgenus.laurent import Y_PLUS_YINV, LaurentPolynomial, substitute_y_plus_yinv
 from hkgenus.lefschetz import (
     primitive_multiplicities,
     reconstruct_diamond,
@@ -21,6 +24,15 @@ laurent_polys = st.dictionaries(
 
 trace_polys = st.dictionaries(
     st.integers(0, 6), st.integers(-50, 50), max_size=5
+).map(LaurentPolynomial)
+
+# Coefficients well past 100 bits, so no arithmetic can hide in a machine word.
+wide_coefficients = st.integers(-50, 50) | st.integers(-2**130, 2**130)
+wide_laurent_polys = st.dictionaries(
+    st.integers(-8, 8), wide_coefficients, max_size=6
+).map(LaurentPolynomial)
+wide_trace_polys = st.dictionaries(
+    st.integers(0, 16), wide_coefficients, max_size=6
 ).map(LaurentPolynomial)
 
 
@@ -60,6 +72,38 @@ def test_eigenvalue_substitution_is_palindromic(p):
     assert image.evaluate(1) == p.evaluate(2)
 
 
+@given(wide_trace_polys)
+def test_closed_form_substitution_matches_composition(p):
+    assert substitute_y_plus_yinv(p) == p.compose(Y_PLUS_YINV)
+
+
+@given(wide_laurent_polys, st.integers(-7, 7))
+def test_evaluate_matches_rational_reference(p, value):
+    if value == 0 and p.valuation() is not None and p.valuation() < 0:
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(value)
+        return
+    reference = sum((Fraction(c) * Fraction(value) ** e for e, c in p.terms()), Fraction(0))
+    result = p.evaluate(value)
+    assert result == reference
+    assert type(result) is (int if reference.denominator == 1 else Fraction)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+@given(st.sampled_from((True, False, 1.0, "1", None)), st.booleans())
+def test_constructor_rejects_non_integers(bad, as_exponent):
+    with pytest.raises(TypeError):
+        LaurentPolynomial({bad: 1} if as_exponent else {1: bad})
+
+
+def test_constructor_accepts_int_subclasses():
+    assert LaurentPolynomial({Small.ONE: Small.TWO}) == LaurentPolynomial({1: 2})
+
+
 @given(laurent_polys)
 def test_serialize_parse_round_trip(p):
     assert LaurentPolynomial.parse(p.to_string("y"), "y") == p
@@ -88,6 +132,13 @@ def test_series_multiplication_associates_under_truncation(a, b, c):
     sb = TruncatedSeries(("x", "y"), (3, 3), b)
     sc = TruncatedSeries(("x", "y"), (3, 3), c)
     assert (sa * sb) * sc == sa * (sb * sc)
+
+
+@given(st.integers(0, 10**9), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_reconstruction_inverts_the_decomposition(seed, n):
+    diamond = random_structural_diamond(random.Random(seed), n)
+    assert reconstruct_diamond(primitive_multiplicities(diamond)) == diamond
 
 
 @given(st.integers(0, 10**9), st.integers(1, 4))

@@ -26,7 +26,7 @@ trace_polys = st.dictionaries(
     st.integers(0, 6), st.integers(-50, 50), max_size=5
 ).map(LaurentPolynomial)
 
-# Coefficients well past 100 bits, so no arithmetic can hide in a machine word.
+# Small coefficients and coefficients of more than 100 bits.
 wide_coefficients = st.integers(-50, 50) | st.integers(-2**130, 2**130)
 wide_laurent_polys = st.dictionaries(
     st.integers(-8, 8), wide_coefficients, max_size=6

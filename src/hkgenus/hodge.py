@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, ValidationError
@@ -79,10 +80,11 @@ class HodgeDiamond:
     Construction enforces only the shape (square, odd side >= 3, integer
     entries); the symmetry and positivity invariants are checked explicitly
     through :meth:`validate` so that deliberately broken tables can be built
-    and reported on.  The table is immutable, so :meth:`validate` computes
-    the report of each level once and hands the same report to every later
-    caller (``require_valid``, ``chi_y``, the primitive decomposition); the
-    stored reports are not fields and take no part in ``==`` or ``hash``.
+    and reported on.  The table is immutable, so the symmetry scan and the
+    primitive differences are computed once per diamond and every later check
+    (``validate``, ``require_valid``, ``chi_y``, the primitive decomposition)
+    reads the stored results; they are not fields and take no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -106,7 +108,6 @@ class HodgeDiamond:
                     raise DimensionMismatchError(
                         f"entry ({p}, {q}) is not an integer: {value!r}"
                     )
-        object.__setattr__(self, "_reports", {})
 
     @property
     def n(self) -> int:
@@ -140,7 +141,15 @@ class HodgeDiamond:
     # -- validation ----------------------------------------------------------
 
     def symmetry_violations(self) -> tuple[Violation, ...]:
-        """Nonnegativity plus the three symmetries; no primitive check."""
+        """Nonnegativity plus the three symmetries; no primitive check.
+
+        The table is scanned on the first call only; later calls return the
+        same tuple.
+        """
+        return self._symmetry_scan
+
+    @cached_property
+    def _symmetry_scan(self) -> tuple[Violation, ...]:
         n, rows = self.n, self.rows
         side = self.side
         found: list[Violation] = []
@@ -166,43 +175,41 @@ class HodgeDiamond:
                         f"h^{{{p},{q}}} = {rows[p][q]} != {rows[2*n-p][q]} = h^{{{2*n-p},{q}}}"))
         return tuple(found)
 
+    @cached_property
+    def primitive_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The differences h^{p,q} - h^{p-2,q} for 0 <= p <= n, h^{p,q} = 0 for p < 0.
+
+        On a table that passes :meth:`symmetry_violations` these are the
+        primitive multiplicities of the sl(2) decomposition.
+        """
+        rows = self.rows
+        return rows[:2] + tuple(
+            tuple(a - b for a, b in zip(rows[p], rows[p - 2]))
+            for p in range(2, self.n + 1))
+
+    @cached_property
+    def _negative_primitives(self) -> tuple[Violation, ...]:
+        return tuple(
+            Violation("negative_primitive", p, q,
+                      f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {value} is negative")
+            for p, row in enumerate(self.primitive_rows)
+            for q, value in enumerate(row) if value < 0)
+
     def validate(self, level: ValidationLevel = ValidationLevel.STRUCTURAL) -> ValidationReport:
         """Check the invariants the stated level requires.
 
         STRUCTURAL: nonnegative entries, the three symmetries, and (when the
         symmetries hold) nonnegativity of every primitive multiplicity.
         STRICT: STRUCTURAL plus the irreducibility corner values.
-
-        Each level is computed at most once per diamond, and STRICT reuses
-        the STRUCTURAL report, so the table is scanned once.
         """
-        reports = self._reports
-        if level in reports:
-            return reports[level]
-        structural = reports.get(ValidationLevel.STRUCTURAL)
-        if structural is None:
-            found = list(self.symmetry_violations())
-            if not found:
-                # Deferred import: the primitive count lives with the sl(2)
-                # decomposition machinery.
-                from .lefschetz import negative_primitive_cells
-
-                for p, q, value in negative_primitive_cells(self):
-                    found.append(Violation(
-                        "negative_primitive", p, q,
-                        f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {value} is negative"))
-            structural = ValidationReport(ValidationLevel.STRUCTURAL, tuple(found))
-            reports[ValidationLevel.STRUCTURAL] = structural
-        if level is not ValidationLevel.STRICT:
-            return structural
-        found = list(structural.violations)
-        for (p, q, want) in ((0, 0, 1), (1, 0, 0), (2, 0, 1)):
-            if self.rows[p][q] != want:
-                found.append(Violation(
-                    "irreducibility", p, q,
-                    f"h^{{{p},{q}}} = {self.rows[p][q]}, irreducibility forces {want}"))
-        reports[level] = report = ValidationReport(level, tuple(found))
-        return report
+        found = self.symmetry_violations() or self._negative_primitives
+        if level is ValidationLevel.STRICT:
+            found += tuple(
+                Violation("irreducibility", p, q,
+                          f"h^{{{p},{q}}} = {self.rows[p][q]}, irreducibility forces {want}")
+                for (p, q, want) in ((0, 0, 1), (1, 0, 0), (2, 0, 1))
+                if self.rows[p][q] != want)
+        return ValidationReport(level, found)
 
     def require_valid(self, level: ValidationLevel = ValidationLevel.STRUCTURAL):
         report = self.validate(level)

@@ -29,7 +29,6 @@ themselves, and the form spaces they act on, are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import (
     InputError,
@@ -78,15 +77,6 @@ class PrimitiveTable:
         return self.n - p + 1
 
 
-def negative_primitive_cells(d: HodgeDiamond) -> Iterator[tuple[int, int, int]]:
-    """Yield (p, q, value) for every negative h^{p,q} - h^{p-2,q}, p <= n."""
-    for p in range(d.n + 1):
-        for q in range(d.side):
-            value = d.rows[p][q] - (d.rows[p - 2][q] if p >= 2 else 0)
-            if value < 0:
-                yield (p, q, value)
-
-
 def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
     """The table prim(p, q) = h^{p,q} - h^{p-2,q} for 0 <= p <= n.
 
@@ -94,23 +84,12 @@ def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
     when any entry comes out negative (the input then lies outside the
     hyper-Kahler domain, a hard-Lefschetz violation for the 2-form).
     """
-    report = d.validate(ValidationLevel.STRUCTURAL)
-    if not report.ok:
-        # The report holds either symmetry and sign violations or, when those
-        # all pass, the negative primitive cells in row-major order.
-        first = report.violations[0]
-        if first.kind == "negative_primitive":
-            p, q = first.p, first.q
-            raise NegativePrimitiveError(p, q, d.rows[p][q] - (d.rows[p - 2][q] if p >= 2 else 0))
+    symmetry = d.symmetry_violations()
+    if symmetry:
         raise ValidationError(
             "primitive multiplicities need a symmetric, nonnegative table:\n"
-            + "\n".join(f"  {v}" for v in report.violations))
-    rows = tuple(
-        tuple(d.rows[p][q] - (d.rows[p - 2][q] if p >= 2 else 0)
-              for q in range(d.side))
-        for p in range(d.n + 1)
-    )
-    return PrimitiveTable(d.n, rows)
+            + "\n".join(f"  {v}" for v in symmetry))
+    return PrimitiveTable(d.n, d.primitive_rows)
 
 
 def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:

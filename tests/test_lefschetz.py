@@ -1,5 +1,6 @@
 """Unit tests for the multiplicity-level decomposition and the graded trace."""
 
+import functools
 import random
 
 import pytest
@@ -76,26 +77,31 @@ def test_primitive_table_rejects_negative_entries():
 
 
 def test_each_diamond_is_scanned_once(monkeypatch):
-    scanned = []
-    original = HodgeDiamond.symmetry_violations
+    computed = []
+    for name in ("_symmetry_scan", "primitive_rows"):
+        original = HodgeDiamond.__dict__[name].func
 
-    def counting(self):
-        scanned.append(self)
-        return original(self)
+        def counting(self, name=name, original=original):
+            computed.append((name, self))
+            return original(self)
 
-    monkeypatch.setattr(HodgeDiamond, "symmetry_violations", counting)
+        prop = functools.cached_property(counting)
+        prop.__set_name__(HodgeDiamond, name)
+        monkeypatch.setattr(HodgeDiamond, name, prop)
     rng = random.Random(2024)
     diamond = random_structural_diamond(rng, 6)
     assert verify_supertrace_identity(diamond).passed
     supertrace_value(diamond, random_sl2(rng))
     primitive_multiplicities(diamond)
-    assert scanned == [diamond]
-    # The STRICT and STRUCTURAL reports share one scan.
-    scanned.clear()
+    assert sorted(computed, key=lambda c: c[0]) == [
+        ("_symmetry_scan", diamond), ("primitive_rows", diamond)]
+    # STRICT and STRUCTURAL validation share the scan.
+    computed.clear()
     k3_2 = HodgeDiamond(K3_2.rows)
     rozansky_witten_invariant(k3_2, SL2Element(2, 1, 1, 1))
     verify_supertrace_identity(k3_2)
-    assert scanned == [k3_2]
+    assert sorted(computed, key=lambda c: c[0]) == [
+        ("_symmetry_scan", k3_2), ("primitive_rows", k3_2)]
 
 
 def test_round_trip_on_catalog():

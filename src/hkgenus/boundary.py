@@ -1,0 +1,77 @@
+"""The input boundary: JSON files and integers that come from outside.
+
+Every failure to decode such input ends as an ``InputError`` whose message
+quotes at most ``SHORT`` characters of the offending value.  The limits:
+
+* a JSON file holds at most ``MAX_INPUT_CHARS`` characters of UTF-8 text;
+* an integer has at most as many decimal digits as the interpreter converts
+  (``sys.get_int_max_str_digits()``, 4300 by default);
+* JSON nesting deeper than the interpreter's recursion limit is refused.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+from .errors import InputError
+
+MAX_INPUT_CHARS = 16 * 2**20
+SHORT = 60
+
+
+def shorten(text: str, limit: int = SHORT) -> str:
+    """``text`` itself when short, else its first ``limit`` characters and its length."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def describe_int(value: int) -> str:
+    """``str(value)`` for an integer that fits in a short message, else its size."""
+    if value.bit_length() <= 3 * SHORT:
+        return str(value)
+    return f"an integer of {value.bit_length()} bits"
+
+
+def digit_limit() -> int:
+    """Decimal digits the interpreter converts between str and int (0: no limit)."""
+    getter = getattr(sys, "get_int_max_str_digits", None)
+    return getter() if getter else 0
+
+
+def parse_int(text: str, what: str) -> int:
+    """Parse a decimal integer; ``what`` names it in the error message."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = digit_limit()
+        if digits.isdigit() and limit and len(digits) > limit:
+            raise InputError(
+                f"{what} has {len(digits)} digits; at most {limit} are accepted") from None
+        raise InputError(f"{what} {shorten(repr(text))} is not an integer") from None
+
+
+def read_json(path):
+    """Read and decode one JSON document from a UTF-8 file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            text = handle.read(MAX_INPUT_CHARS + 1)
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
+    if len(text) > MAX_INPUT_CHARS:
+        raise InputError(f"{path}: more than {MAX_INPUT_CHARS} characters")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError:
+        # The only other ValueError json raises: an integer literal past the
+        # interpreter's str-to-int digit limit.
+        raise InputError(
+            f"{path}: an integer has more than {digit_limit()} digits") from None
+    except RecursionError:
+        raise InputError(f"{path}: arrays or objects nested too deeply") from None

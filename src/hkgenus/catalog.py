@@ -6,11 +6,15 @@ Noether's chi(O) = c2/12 with chi(O) = 2 and c1 = 0, which forces Euler
 number 24 and hence h^{1,1} = 20), and the Hilbert schemes K3[m] are produced
 by expanding Goettsche's product formula
 
-    prod_{k>=1} prod_{p,q} (1 - (-1)^{p+q} x^{p+k-1} y^{q+k-1} z^k)^{-(-1)^{p+q} h^{p,q}}
+    F = prod_{k>=1} prod_{p,q} (1 - (-1)^{p+q} x^{p+k-1} y^{q+k-1} z^k)^{-(-1)^{p+q} h^{p,q}}
 
-as a truncated three-variable series; the coefficient of z^m is the diamond
-of the m-th Hilbert scheme of points.  Every number downstream of the seed is
-therefore reproducible in-repo from series arithmetic alone.
+whose z^m coefficient F_m, a polynomial in x and y of degree at most 2m in
+each, is the diamond of the m-th Hilbert scheme of points.  The expansion runs
+over z-degree alone: z d/dz log F has integer tables D_j as its z^j
+coefficients, and m F_m = sum_j D_j F_{m-j} gives each table from the
+previous ones by exact integer arithmetic, with every division by m checked
+for a zero remainder.  Every number downstream of the seed is therefore
+reproducible in-repo from integer arithmetic alone.
 
 File format (.hodge.json recommended): a JSON object
 
@@ -19,7 +23,8 @@ File format (.hodge.json recommended): a JSON object
 with "hodge" a (2n+1) x (2n+1) row-major array (rows indexed by p, columns by
 q), an optional "chern" object of Chern monomial keys, and an optional
 "provenance" string.  Canonical output uses two-space indentation and sorted
-keys; integers are arbitrary precision and must round-trip exactly.
+keys; integers are arbitrary precision and must round-trip exactly.  Files
+are read through ``boundary.read_json``, which states the size limits.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import functools
 import json
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
+from .boundary import read_json, shorten
 from .errors import InputError, InternalInconsistencyError, UnknownManifoldError
 from .hodge import HodgeDiamond, ValidationLevel
 from .riemann_roch import ChernData
-from .series import TruncatedSeries, binomial_expand
 
 MAX_HILBERT_POINTS = 5
 
@@ -63,48 +69,97 @@ def _k3_diamond() -> HodgeDiamond:
 
 # -- Goettsche expansion ------------------------------------------------------
 
+def _log_derivative_terms(base: HodgeDiamond, n_max: int) -> list[list[tuple[int, int, int]]]:
+    """The z^j coefficients D_j of z d/dz log F, for j = 1..n_max.
+
+    D_j = sum_{k r = j} sum_{p,q} k h^{p,q} s^{r+1} x^{(p+k-1) r} y^{(q+k-1) r}
+    with s = (-1)^{p+q}, as (x exponent, y exponent, coefficient) triples with
+    nonzero coefficients; index 0 holds an empty list.
+    """
+    terms: list[list[tuple[int, int, int]]] = [[]]
+    for j in range(1, n_max + 1):
+        table: dict[tuple[int, int], int] = {}
+        for k in range(1, j + 1):
+            r, rem = divmod(j, k)
+            if rem:
+                continue
+            for p, row in enumerate(base.rows):
+                for q, h in enumerate(row):
+                    if h == 0:
+                        continue
+                    # s^{r+1} is +1 unless s = -1 and r is even.
+                    sign = -1 if (p + q) % 2 and r % 2 == 0 else 1
+                    key = ((p + k - 1) * r, (q + k - 1) * r)
+                    table[key] = table.get(key, 0) + sign * k * h
+        # A term of D_j past x or y degree 2j would land in the z^j coefficient
+        # D_j * F_0 outside its (2j+1) x (2j+1) table.
+        stray = sorted(key for key, c in table.items() if c and max(key) > 2 * j)
+        if stray:
+            raise InternalInconsistencyError(
+                f"z^{j} coefficient has terms beyond degree {2 * j}: {stray}")
+        terms.append([(a, b, c) for (a, b), c in sorted(table.items()) if c])
+    return terms
+
+
+def _goettsche_tables(base: HodgeDiamond, n_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield F_1..F_n_max, each a (2m+1) x (2m+1) tuple of rows, one at a time.
+
+    F_m is the z^m coefficient of the product F (module docstring), found from
+    z dF/dz = F * z d/dz log F as the exact recurrence
+
+        m F_m = sum_{j=1..m} D_j F_{m-j},    F_0 = 1,
+
+    with D_j from ``_log_derivative_terms``.  Every entry of the sum must be
+    divisible by m; a remainder raises InternalInconsistencyError.
+    """
+    log_derivative = _log_derivative_terms(base, n_max)
+    # F_m is stored row-major with the stride of the largest table, so that
+    # multiplying by x^a y^b is one shift by a * stride + b.  Entries past
+    # column 2m of a row are zero, so a shift never carries a nonzero entry
+    # into the next row.
+    stride = 2 * n_max + 1
+    tables: list[list[int]] = [[1]]
+    for m in range(1, n_max + 1):
+        side = 2 * m + 1
+        acc = [0] * (side * stride)
+        for j in range(1, m + 1):
+            source = tables[m - j]
+            width = len(source)
+            for a, b, c in log_derivative[j]:
+                start = a * stride + b
+                acc[start:start + width] = [
+                    t + c * v for t, v in zip(acc[start:start + width], source)]
+        if any(value % m for value in acc):
+            cell = next(i for i, value in enumerate(acc) if value % m)
+            raise InternalInconsistencyError(
+                f"z^{m} coefficient: {m} does not divide entry "
+                f"({cell // stride}, {cell % stride}) of m F_m")
+        table = [value // m for value in acc]
+        # Trailing zeros of the last row are dropped; the next shifts stay in range.
+        tables.append(table[:(side - 1) * stride + side])
+        yield tuple(tuple(table[p * stride:p * stride + side]) for p in range(side))
+
+
 @functools.lru_cache(maxsize=None)
 def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]:
     """Hodge diamonds of the Hilbert schemes of 1..n_max points on a surface.
 
     ``base`` must be a 3x3 surface table and n_max at most 5 (the catalog's
-    desk scale).  Each emitted diamond is validated at STRICT level; a failure
-    there signals a fault in the formula or the series engine, never bad data,
-    so it raises InternalInconsistencyError.  Results are cached per
-    (base, n_max) content, which is safe because the expansion is
-    deterministic.
+    desk scale).  The diamonds are the z-coefficients of Goettsche's product,
+    expanded by an exact integer recurrence (``_goettsche_tables``).  A
+    division by m with a remainder, a term past degree 2m, or an emitted
+    diamond that fails STRICT validation signals a fault in the formula or the
+    recurrence, never bad data, so each raises InternalInconsistencyError.
+    Results are cached per (base, n_max) content, which is safe because the
+    expansion is deterministic.
     """
     if base.n != 1:
         raise InputError(f"base must be a surface (3x3 table), got n = {base.n}")
     if not 1 <= n_max <= MAX_HILBERT_POINTS:
         raise InputError(
             f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {n_max}")
-    variables = ("x", "y", "z")
-    limits = (2 * n_max, 2 * n_max, n_max)
-    product = TruncatedSeries.one(variables, limits)
-    for k in range(1, n_max + 1):
-        for p in range(3):
-            for q in range(3):
-                h = base.rows[p][q]
-                if h == 0:
-                    continue
-                sign = (-1) ** (p + q)
-                factor = TruncatedSeries(
-                    variables, limits,
-                    {(0, 0, 0): 1, (p + k - 1, q + k - 1, k): -sign})
-                product = product * binomial_expand(factor, -sign * h)
     diamonds = []
-    for m in range(1, n_max + 1):
-        slice_m = product.extract("z", m)
-        side = 2 * m + 1
-        rows = tuple(
-            tuple(slice_m.coefficient((p, q)) for q in range(side))
-            for p in range(side)
-        )
-        stray = [e for e, _ in slice_m.terms() if e[0] >= side or e[1] >= side]
-        if stray:
-            raise InternalInconsistencyError(
-                f"z^{m} coefficient has terms beyond degree {side - 1}: {stray}")
+    for m, rows in enumerate(_goettsche_tables(base, n_max), start=1):
         diamond = HodgeDiamond(rows, name=f"{base.name or 'surface'}[{m}]")
         report = diamond.validate(ValidationLevel.STRICT)
         if not report.ok:
@@ -169,7 +224,7 @@ def builtin(name: str) -> ManifoldRecord:
     records = _catalog()
     if name not in records:
         known = ", ".join(records)
-        raise UnknownManifoldError(f"unknown built-in {name!r}; known: {known}")
+        raise UnknownManifoldError(f"unknown built-in {shorten(repr(name))}; known: {known}")
     return records[name]
 
 
@@ -228,11 +283,4 @@ def save_manifold(record: ManifoldRecord, path) -> None:
 
 def load_manifold(path, level: ValidationLevel = ValidationLevel.STRUCTURAL) -> ManifoldRecord:
     """Load and validate a manifold file; see the module docstring for the schema."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
-    return record_from_json_dict(obj, level)
+    return record_from_json_dict(read_json(path), level)

@@ -16,6 +16,7 @@ import json
 import sys
 
 from . import catalog as catalog_mod
+from .boundary import SHORT, shorten
 from .errors import InputError, InternalInconsistencyError
 from .hodge import ValidationLevel
 from .laurent import substitute_y_plus_yinv
@@ -35,9 +36,10 @@ EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # Map usage errors onto the package's input-error exit code.
+    # Map usage errors onto the package's input-error exit code; argparse
+    # quotes the offending value, which may be arbitrarily long.
     def error(self, message):
-        raise InputError(message)
+        raise InputError(shorten(message, 2 * SHORT))
 
 
 def _add_manifold_args(parser, required=True):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
+from .boundary import shorten
 from .errors import DimensionMismatchError, ValidationError
 from .laurent import LaurentPolynomial
 
@@ -106,7 +107,7 @@ class HodgeDiamond:
             for q, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise DimensionMismatchError(
-                        f"entry ({p}, {q}) is not an integer: {value!r}"
+                        f"entry ({p}, {q}) is not an integer: {shorten(repr(value))}"
                     )
 
     @property

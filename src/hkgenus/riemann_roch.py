@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+from .boundary import parse_int, read_json, shorten
 from .errors import InputError, InternalInconsistencyError
 from .laurent import LaurentPolynomial
 
@@ -66,14 +67,15 @@ def parse_monomial_key(key: str) -> tuple[int, ...]:
     """Parse a Chern monomial key like "c2^2" into its class parts (2, 2)."""
     m = _KEY_RE.match(key.strip().lower())
     if not m:
-        raise InputError(f"malformed Chern monomial key {key!r}")
-    index = int(m.group(1))
-    power = int(m.group(2)) if m.group(2) else 1
+        raise InputError(f"malformed Chern monomial key {shorten(repr(key))}")
+    index = parse_int(m.group(1), "Chern class index")
+    power = parse_int(m.group(2), "monomial power") if m.group(2) else 1
     if index % 2 != 0 or index < 2:
         raise InputError(
-            f"only even Chern classes c2, c4, ... appear for paired roots; got {key!r}")
+            "only even Chern classes c2, c4, ... appear for paired roots; "
+            f"got {shorten(repr(key))}")
     if power < 1:
-        raise InputError(f"monomial power must be positive in {key!r}")
+        raise InputError(f"monomial power must be positive in {shorten(repr(key))}")
     return (index,) * power
 
 
@@ -93,9 +95,10 @@ class ChernData:
             parts = parse_monomial_key(key)
             if sum(parts) != 2 * self.n:
                 raise InputError(
-                    f"monomial {key!r} has degree {sum(parts)}, expected {2 * self.n}")
+                    f"monomial {shorten(repr(key))} has degree {sum(parts)}, "
+                    f"expected {2 * self.n}")
             if key not in basis_keys:
-                raise InputError(f"unknown Chern monomial {key!r} for n = {self.n}")
+                raise InputError(f"unknown Chern monomial {shorten(repr(key))} for n = {self.n}")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"Chern number for {key!r} must be an integer")
             cleaned[key] = value
@@ -119,14 +122,7 @@ class ChernData:
 
 
 def load_chern_data(path) -> ChernData:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
-    return ChernData.from_json_dict(obj)
+    return ChernData.from_json_dict(read_json(path))
 
 
 def save_chern_data(data: ChernData, path) -> None:

@@ -1,7 +1,9 @@
 """Truncated multivariate power series with exact integer coefficients.
 
-The carrier for the catalog generating function: a sparse map from exponent
-tuples to big integers, with a hard per-variable truncation order.  Terms that
+The reference engine for the catalog generating function: a sparse map from
+exponent tuples to big integers, with a hard per-variable truncation order.
+``catalog.goettsche_expand`` does not use it; the tests multiply Goettsche's
+product out with it and require the same diamonds.  Terms that
 exceed any variable's order are discarded deterministically during every
 operation, so multiplication is closed under truncation.  All exponents are
 nonnegative (this is a power series ring, not a Laurent ring).

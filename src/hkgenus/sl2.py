@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from .boundary import describe_int, parse_int, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 
@@ -38,7 +39,7 @@ class SL2Element:
                 raise InputError(f"matrix entry {field_name} must be an integer, got {value!r}")
         det = self.a * self.d - self.b * self.c
         if det != 1:
-            raise InputError(f"determinant must be 1, got {det}")
+            raise InputError(f"determinant must be 1, got {describe_int(det)}")
 
     @classmethod
     def identity(cls) -> "SL2Element":
@@ -49,17 +50,15 @@ class SL2Element:
         """Parse the row-major syntax "a,b;c,d" (integers only)."""
         rows = text.strip().split(";")
         if len(rows) != 2:
-            raise InputError(f'matrix must have two rows "a,b;c,d", got {text!r}')
+            raise InputError(
+                f'matrix must have two rows "a,b;c,d", got {shorten(repr(text))}')
         entries: list[int] = []
         for row in rows:
             parts = row.split(",")
             if len(parts) != 2:
-                raise InputError(f'each matrix row needs two entries, got {row!r}')
-            for part in parts:
-                try:
-                    entries.append(int(part.strip()))
-                except ValueError:
-                    raise InputError(f"matrix entry {part.strip()!r} is not an integer") from None
+                raise InputError(
+                    f'each matrix row needs two entries, got {shorten(repr(row))}')
+            entries.extend(parse_int(part.strip(), "matrix entry") for part in parts)
         return cls(*entries)
 
     def to_string(self) -> str:

@@ -1,9 +1,16 @@
 """Unit tests for the built-in catalog, the product expansion and JSON io."""
 
+from math import comb
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hkgenus.catalog import (
+    MAX_HILBERT_POINTS,
     ManifoldRecord,
+    _goettsche_tables,
+    _log_derivative_terms,
     builtin,
     builtin_names,
     goettsche_expand,
@@ -14,6 +21,7 @@ from hkgenus.catalog import (
 from hkgenus.errors import (
     DimensionMismatchError,
     InputError,
+    InternalInconsistencyError,
     UnknownManifoldError,
     ValidationError,
 )
@@ -68,7 +76,6 @@ def dense_euler_expansion(euler: int, order: int) -> list[int]:
     for k in range(1, order + 1):
         # Multiply by (1 - z^k)^{-euler} one binomial factor at a time.
         factor = [0] * (order + 1)
-        from math import comb
         for j in range(0, order // k + 1):
             factor[j * k] = comb(euler + j - 1, j)
         series = [
@@ -78,30 +85,130 @@ def dense_euler_expansion(euler: int, order: int) -> list[int]:
     return series
 
 
-def test_euler_specialization_matches_one_variable_expansion():
-    # Specializing x = y = -1 in the three-variable product reproduces the
-    # one-variable Euler expansion term by term.
-    k3 = builtin("K3").diamond
-    n_max = 5
+def reference_product(base: HodgeDiamond, n_max: int) -> TruncatedSeries:
+    """Goettsche's product for a surface, multiplied out as a truncated series."""
     variables = ("x", "y", "z")
     limits = (2 * n_max, 2 * n_max, n_max)
     product = TruncatedSeries.one(variables, limits)
     for k in range(1, n_max + 1):
         for p in range(3):
             for q in range(3):
-                h = k3.rows[p][q]
+                h = base.rows[p][q]
                 if h == 0:
                     continue
                 sign = (-1) ** (p + q)
-                base = TruncatedSeries(
+                factor = TruncatedSeries(
                     variables, limits,
                     {(0, 0, 0): 1, (p + k - 1, q + k - 1, k): -sign})
-                product = product * binomial_expand(base, -sign * h)
+                product = product * binomial_expand(factor, -sign * h)
+    return product
+
+
+def reference_tables(base: HodgeDiamond, n_max: int) -> list[tuple]:
+    """The z^1..z^n_max coefficients of ``reference_product`` as square tables."""
+    product = reference_product(base, n_max)
+    tables = []
+    for m in range(1, n_max + 1):
+        slice_m = product.extract("z", m)
+        side = 2 * m + 1
+        assert all(e[0] < side and e[1] < side for e, _ in slice_m.terms())
+        tables.append(tuple(
+            tuple(slice_m.coefficient((p, q)) for q in range(side)) for p in range(side)))
+    return tables
+
+
+def test_euler_specialization_matches_one_variable_expansion():
+    # Specializing x = y = -1 in the three-variable product reproduces the
+    # one-variable Euler expansion term by term.
+    n_max = 5
+    product = reference_product(builtin("K3").diamond, n_max)
     one_variable = product.substitute_int("x", -1).substitute_int("y", -1)
     expected = dense_euler_expansion(24, n_max)
     for m in range(n_max + 1):
         assert one_variable.coefficient((m,)) == expected[m]
     assert expected[2] == 324
+
+
+# Symmetric surface tables ((a,b,a),(b,c,b),(a,b,a)): STRICT holds exactly when
+# a = 1 and b = 0, so half the draws are K3-like and the rest must be refused.
+k3_like_bases = st.integers(0, 10**6).map(lambda h: (1, 0, h))
+symmetric_bases = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k3_like_bases | symmetric_bases, st.integers(1, MAX_HILBERT_POINTS))
+@example((1, 0, 20), 5)
+@example((1, 0, 10**6), 5)
+@example((1, 0, 0), 4)
+@example((2, 0, 20), 3)
+def test_expansion_matches_the_truncated_series_product(entries, n_max):
+    a, b, c = entries
+    base = HodgeDiamond(((a, b, a), (b, c, b), (a, b, a)), name="S")
+    expected = reference_tables(base, n_max)
+    if not all(HodgeDiamond(rows).validate(ValidationLevel.STRICT).ok for rows in expected):
+        with pytest.raises(InternalInconsistencyError, match="invalid diamond at z"):
+            goettsche_expand(base, n_max)
+        return
+    # The cache compares tables only (a name takes no part in ==), so a result
+    # cached by another test could carry another base's name.
+    goettsche_expand.cache_clear()
+    got = goettsche_expand(base, n_max)
+    assert [d.rows for d in got] == expected
+    assert [d.name for d in got] == [f"S[{m}]" for m in range(1, n_max + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6) | st.just(0), min_size=9, max_size=9),
+       st.integers(1, MAX_HILBERT_POINTS))
+@example([1, 7, 1, 7, 20, 7, 1, 7, 1], 5)
+def test_recurrence_matches_the_product_on_any_surface_table(entries, n_max):
+    # Tables with h^{p,q} != 0 for odd p + q, or negative entries, never pass
+    # STRICT, so only this test sees the recurrence's odd-sign terms.
+    base = HodgeDiamond(tuple(tuple(entries[3 * p:3 * p + 3]) for p in range(3)))
+    assert list(_goettsche_tables(base, n_max)) == reference_tables(base, n_max)
+
+
+def test_a_remainder_in_the_recurrence_is_an_internal_inconsistency(monkeypatch):
+    def off_by_one(base, n_max):
+        terms = _log_derivative_terms(base, n_max)
+        a, b, c = terms[2][0]
+        terms[2][0] = (a, b, c + 1)
+        return terms
+
+    monkeypatch.setattr("hkgenus.catalog._log_derivative_terms", off_by_one)
+    base = HodgeDiamond(((1, 0, 1), (0, 21, 0), (1, 0, 1)))
+    with pytest.raises(InternalInconsistencyError, match="2 does not divide entry"):
+        list(_goettsche_tables(base, 2))
+
+
+def egl_normalized_genera(h: int, m_max: int) -> list[dict[int, int]]:
+    """prod_k [(1 - y^-1 q^k)^2 (1 - q^k)^h (1 - y q^k)^2]^-1 up to q^m_max.
+
+    Independent of the three-variable product: entry m is chi_{-y}/y^m of the
+    Hilbert scheme of m points on the surface with h^{1,1} = h, as a dict from
+    y-exponent to coefficient.
+    """
+    series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m_max)]
+    for k in range(1, m_max + 1):
+        for shift, power in ((-1, 2), (0, h), (1, 2)):
+            # Multiply by (1 - y^shift q^k)^-power = sum_i C(power+i-1, i) y^(i shift) q^(i k).
+            updated: list[dict[int, int]] = [{} for _ in range(m_max + 1)]
+            for m, poly in enumerate(series):
+                for i in range(0, (m_max - m) // k + 1):
+                    binom = comb(power + i - 1, i) if power else int(i == 0)
+                    target = updated[m + i * k]
+                    for e, coefficient in poly.items():
+                        target[e + i * shift] = target.get(e + i * shift, 0) + binom * coefficient
+            series = [{e: c for e, c in poly.items() if c} for poly in updated]
+    return series
+
+
+@pytest.mark.parametrize("h", [0, 20, 777, 10**6])
+def test_normalized_genera_match_the_egl_product(h):
+    base = HodgeDiamond(((1, 0, 1), (0, h, 0), (1, 0, 1)))
+    expected = egl_normalized_genera(h, MAX_HILBERT_POINTS)
+    for m, diamond in enumerate(goettsche_expand(base, MAX_HILBERT_POINTS), start=1):
+        assert dict(diamond.normalized_genus().terms()) == expected[m]
 
 
 def test_builtin_eulers_match_one_variable_expansion():

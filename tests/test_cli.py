@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hkgenus.catalog import ManifoldRecord, builtin, save_manifold
 from hkgenus.cli import main
 from hkgenus.hodge import HodgeDiamond
@@ -226,3 +228,43 @@ def test_module_entry_point_error_streams():
     assert completed.returncode == 1
     assert completed.stdout == ""
     assert "determinant" in completed.stderr
+
+
+# A 5000-digit integer: past the interpreter's default str-to-int limit.
+BIG = "7" * 5000
+BOUNDARY_INPUTS = {
+    "json-bigint": ('{"name": "big", "n": 1, "hodge": [[1, 0, 1], [0, %s, 0], [1, 0, 1]]}'
+                    % BIG).encode(),
+    "deep-array": ('{"name": "deep", "n": 1, "hodge": ' + "[" * 100_000
+                   + "]" * 100_000 + "}").encode(),
+    "non-utf8": b'{"name": "bad\xff\xfebytes", "n": 1, '
+                b'"hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]}',
+}
+
+
+def assert_refused_briefly(completed):
+    assert "Traceback" not in completed.stderr
+    assert completed.returncode == 1
+    assert completed.stdout == ""
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines[0]) <= 200
+    assert BIG[:100] not in completed.stderr
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_INPUTS))
+def test_hostile_file_ends_in_one_short_error_line(tmp_path, kind):
+    path = tmp_path / f"{kind}.hodge.json"
+    path.write_bytes(BOUNDARY_INPUTS[kind])
+    completed = subprocess.run(
+        [sys.executable, "-m", "hkgenus", "verify", "--input", str(path)],
+        capture_output=True, text=True)
+    assert_refused_briefly(completed)
+
+
+def test_matrix_bigint_ends_in_one_short_error_line():
+    completed = subprocess.run(
+        [sys.executable, "-m", "hkgenus", "rw", "--manifold", "K3", f"--matrix={BIG},0;0,1"],
+        capture_output=True, text=True)
+    assert_refused_briefly(completed)
+    assert "5000 digits" in completed.stderr

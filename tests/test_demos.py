@@ -1,0 +1,28 @@
+"""Each demo script runs to the end without an error."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hkgenus
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# The demos import hkgenus; point them at the copy these tests import.
+SOURCE = str(Path(hkgenus.__file__).resolve().parents[1])
+
+
+def test_all_six_demos_are_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SOURCE, env.get("PYTHONPATH")]))
+    completed = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                               env=env, timeout=120)
+    assert "Traceback" not in completed.stderr
+    assert completed.returncode == 0, completed.stderr

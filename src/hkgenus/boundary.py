@@ -7,6 +7,10 @@ quotes at most ``SHORT`` characters of the offending value.  The limits:
 * an integer has at most as many decimal digits as the interpreter converts
   (``sys.get_int_max_str_digits()``, 4300 by default);
 * JSON nesting deeper than the interpreter's recursion limit is refused.
+
+Results obey the same digit limit on the way out: the interpreter refuses to
+write a longer integer as text, and ``is_digit_limit_error`` recognizes that
+refusal so the CLI can report it as an input error.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ def digit_limit() -> int:
     """Decimal digits the interpreter converts between str and int (0: no limit)."""
     getter = getattr(sys, "get_int_max_str_digits", None)
     return getter() if getter else 0
+
+
+def is_digit_limit_error(exc: ValueError) -> bool:
+    """Whether ``exc`` is the interpreter refusing to write an over-long int as text."""
+    return "integer string conversion" in str(exc)
 
 
 def parse_int(text: str, what: str) -> int:

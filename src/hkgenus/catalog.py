@@ -140,19 +140,26 @@ def _goettsche_tables(base: HodgeDiamond, n_max: int) -> Iterator[tuple[tuple[in
         yield tuple(tuple(table[p * stride:p * stride + side]) for p in range(side))
 
 
-@functools.lru_cache(maxsize=None)
 def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]:
     """Hodge diamonds of the Hilbert schemes of 1..n_max points on a surface.
 
     ``base`` must be a 3x3 surface table and n_max at most 5 (the catalog's
     desk scale).  The diamonds are the z-coefficients of Goettsche's product,
-    expanded by an exact integer recurrence (``_goettsche_tables``).  A
+    expanded by an exact integer recurrence (``_goettsche_tables``), and are
+    named after ``base`` (``S[1]``, ``S[2]``, ... for a base named ``S``).  A
     division by m with a remainder, a term past degree 2m, or an emitted
     diamond that fails STRICT validation signals a fault in the formula or the
     recurrence, never bad data, so each raises InternalInconsistencyError.
-    Results are cached per (base, n_max) content, which is safe because the
-    expansion is deterministic.
+    Results are cached per (table, n_max, name), which is safe because the
+    expansion is deterministic; ``goettsche_expand.cache_info`` and
+    ``cache_clear`` reach the cache.
     """
+    return _goettsche_expand(base, n_max, base.name)
+
+
+@functools.lru_cache(maxsize=None)
+def _goettsche_expand(base: HodgeDiamond, n_max: int, name: str | None) -> tuple[HodgeDiamond, ...]:
+    # ``name`` is part of the key because diamond equality ignores names.
     if base.n != 1:
         raise InputError(f"base must be a surface (3x3 table), got n = {base.n}")
     if not 1 <= n_max <= MAX_HILBERT_POINTS:
@@ -160,13 +167,17 @@ def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]
             f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {n_max}")
     diamonds = []
     for m, rows in enumerate(_goettsche_tables(base, n_max), start=1):
-        diamond = HodgeDiamond(rows, name=f"{base.name or 'surface'}[{m}]")
+        diamond = HodgeDiamond(rows, name=f"{name or 'surface'}[{m}]")
         report = diamond.validate(ValidationLevel.STRICT)
         if not report.ok:
             raise InternalInconsistencyError(
                 f"expansion emitted an invalid diamond at z^{m}:\n{report.summary()}")
         diamonds.append(diamond)
     return tuple(diamonds)
+
+
+goettsche_expand.cache_info = _goettsche_expand.cache_info
+goettsche_expand.cache_clear = _goettsche_expand.cache_clear
 
 
 # -- built-in registry --------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .boundary import SHORT, shorten
+from .boundary import SHORT, digit_limit, is_digit_limit_error, shorten
 from .errors import InputError, InternalInconsistencyError
 from .hodge import ValidationLevel
 from .laurent import substitute_y_plus_yinv
@@ -437,11 +437,26 @@ def render(payload, fmt: str) -> str:
     return "\n".join(_TEXT_RENDERERS[payload["command"]](payload))
 
 
+def _run(args) -> tuple[str, int]:
+    """Run the subcommand and render its result as the requested format."""
+    try:
+        payload, code = _HANDLERS[args.command](args)
+        return render(payload, args.format), code
+    except ValueError as exc:
+        # Large inputs can give results with more digits than the interpreter
+        # writes as text (the value of S at a huge trace, say).
+        if not is_digit_limit_error(exc):
+            raise
+        raise InputError(
+            f"a result has more than {digit_limit()} digits, "
+            "the most the interpreter writes as text") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, code = _HANDLERS[args.command](args)
+        text, code = _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -451,7 +466,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print(render(payload, args.format))
+    print(text)
     return code
 
 

@@ -22,6 +22,12 @@ as Laurent polynomials, which proves the identity for every U simultaneously
 because both sides depend on U only through its trace.  Specializing U to an
 integer matrix gives the mapping-torus invariant of Rozansky-Witten type.
 
+S(t) and the primitive table depend only on the diamond, so each is computed
+and cross-checked once per diamond and kept on it; later calls (the value at
+another element, the invariant, the decomposition) reuse the checked result.
+Every call still runs the validation it asks for, and a diamond that fails a
+check keeps nothing, so it fails again on every call.
+
 Only multiplicities are represented here; the raising and lowering operators
 themselves, and the form spaces they act on, are out of scope.
 """
@@ -39,6 +45,19 @@ from .errors import (
 from .hodge import HodgeDiamond, ValidationLevel
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 from .sl2 import SL2Element, character
+
+# Attribute names under which a diamond keeps its checked primitive table and
+# its cross-checked S(t).  Like the diamond's own stored scan they live in the
+# instance ``__dict__``, not in dataclass fields, so ``==``, ``hash`` and
+# ``repr`` ignore them, and a diamond with equal rows starts without them.
+# Threads racing on a new diamond each compute and store the same value.
+_PRIMITIVE_TABLE = "_primitive_table"
+_SUPERTRACE = "_supertrace"
+
+
+def _accumulate(total: dict[int, int], poly: LaurentPolynomial) -> None:
+    for e, c in poly.terms():
+        total[e] = total.get(e, 0) + c
 
 
 @dataclass(frozen=True)
@@ -63,6 +82,8 @@ class PrimitiveTable:
             if len(row) != 2 * self.n + 1:
                 raise InputError(
                     f"row {p} has length {len(row)}, expected {2 * self.n + 1}")
+            if all(type(value) is int for value in row) and min(row) >= 0:
+                continue  # exact nonnegative ints need no closer look
             for q, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise InputError(f"entry ({p}, {q}) is not an integer: {value!r}")
@@ -89,7 +110,11 @@ def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
         raise ValidationError(
             "primitive multiplicities need a symmetric, nonnegative table:\n"
             + "\n".join(f"  {v}" for v in symmetry))
-    return PrimitiveTable(d.n, d.primitive_rows)
+    table = getattr(d, _PRIMITIVE_TABLE, None)
+    if table is None:
+        table = PrimitiveTable(d.n, d.primitive_rows)
+        object.__setattr__(d, _PRIMITIVE_TABLE, table)
+    return table
 
 
 def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:
@@ -113,11 +138,11 @@ def supertrace_via_primitives(d: HodgeDiamond) -> LaurentPolynomial:
     """S(t) = sum_{q} sum_{p=0}^{n} (-1)^{p+q} t_{n-p+1} prim(p, q)."""
     pt = primitive_multiplicities(d)
     n = pt.n
-    total = LaurentPolynomial.zero()
+    total: dict[int, int] = {}
     for p, row in enumerate(pt.rows):
         weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
-        total = total + character(n - p + 1) * weight
-    return total
+        _accumulate(total, character(n - p + 1) * weight)
+    return LaurentPolynomial(total)
 
 
 def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
@@ -129,20 +154,28 @@ def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
     +20, not -20).
     """
     n = d.n
-    total = LaurentPolynomial.zero()
+    total: dict[int, int] = {}
     for p in range(n + 1):
         row = d.rows[p]
         weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
-        total = total + (character(n - p + 1) - character(n - p - 1)) * weight
-    return total
+        _accumulate(total, character(n - p + 1) * weight)
+        _accumulate(total, character(n - p - 1) * -weight)
+    return LaurentPolynomial(total)
 
 
 def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
     """S(t), computed by both routes and checked for exact agreement.
 
-    Disagreement between the primitive form and the rewrite cannot be caused
-    by input data and raises InternalInconsistencyError.
+    The routes run and are compared on the first call for a diamond only; the
+    agreed polynomial is then stored on the diamond and returned by later
+    calls.  A diamond whose table fails a check stores nothing, so every call
+    on it raises again.  Disagreement between the primitive form and the
+    rewrite cannot be caused by input data and raises
+    InternalInconsistencyError.
     """
+    stored = getattr(d, _SUPERTRACE, None)
+    if stored is not None:
+        return stored
     primitive_form = supertrace_via_primitives(d)
     rewritten_form = supertrace_via_rewrite(d)
     if primitive_form != rewritten_form:
@@ -150,6 +183,7 @@ def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
             "supertrace forms disagree: "
             f"primitive {primitive_form.to_string('t')} vs "
             f"rewrite {rewritten_form.to_string('t')}")
+    object.__setattr__(d, _SUPERTRACE, primitive_form)
     return primitive_form
 
 

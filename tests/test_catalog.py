@@ -149,9 +149,6 @@ def test_expansion_matches_the_truncated_series_product(entries, n_max):
         with pytest.raises(InternalInconsistencyError, match="invalid diamond at z"):
             goettsche_expand(base, n_max)
         return
-    # The cache compares tables only (a name takes no part in ==), so a result
-    # cached by another test could carry another base's name.
-    goettsche_expand.cache_clear()
     got = goettsche_expand(base, n_max)
     assert [d.rows for d in got] == expected
     assert [d.name for d in got] == [f"S[{m}]" for m in range(1, n_max + 1)]
@@ -216,6 +213,17 @@ def test_builtin_eulers_match_one_variable_expansion():
     for m in range(1, 6):
         name = "K3" if m == 1 else f"K3[{m}]"
         assert builtin(name).diamond.classical_values().euler == expected[m]
+
+
+def test_expansion_names_follow_the_base_passed_in():
+    # Diamond equality ignores names, so equal tables share no cached names.
+    k3 = builtin("K3").diamond
+    assert [d.name for d in goettsche_expand(k3, 2)] == ["K3[1]", "K3[2]"]
+    assert [d.name for d in goettsche_expand(k3.with_name("S"), 2)] == ["S[1]", "S[2]"]
+    assert [d.name for d in goettsche_expand(k3.with_name(None), 2)] == [
+        "surface[1]", "surface[2]"]
+    assert [d.name for d in goettsche_expand(k3, 2)] == ["K3[1]", "K3[2]"]
+    assert goettsche_expand(k3, 2) is goettsche_expand(k3, 2)
 
 
 def test_expand_argument_validation():

@@ -268,3 +268,27 @@ def test_matrix_bigint_ends_in_one_short_error_line():
         capture_output=True, text=True)
     assert_refused_briefly(completed)
     assert "5000 digits" in completed.stderr
+
+
+# A valid SL(2, Z) element whose trace has 3000 digits: S(trace) on K3[5] has
+# about 15000, more than the interpreter writes as text.
+HUGE_TRACE = "9" * 3000 + ",1;" + "9" * 2999 + "8,1"
+
+
+def test_oversized_result_ends_in_one_short_error_line():
+    completed = subprocess.run(
+        [sys.executable, "-m", "hkgenus", "strace", "--manifold", "K3[5]",
+         "--matrix", HUGE_TRACE],
+        capture_output=True, text=True)
+    assert_refused_briefly(completed)
+    assert "digits" in completed.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_oversized_result_is_an_input_error_in_every_format(capsys, fmt):
+    code, out, err = run(capsys, "rw", "--manifold", "K3[5]", "--matrix", HUGE_TRACE,
+                         "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a result has more than") and err.count("\n") == 1
+    assert len(err) <= 200

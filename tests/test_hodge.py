@@ -121,6 +121,23 @@ def test_dimension_errors_are_hard_errors():
         HodgeDiamond(((1, 0, 1), (0, 20.0, 0), (1, 0, 1)))  # float entry
 
 
+def test_entry_type_errors_name_the_first_bad_entry():
+    class Count(int):
+        pass
+
+    assert HodgeDiamond(((1, 0, 1), (0, Count(20), 0), (1, 0, 1))).rows[1][1] == 20
+    cases = [
+        (((1, 0, 1), (0, True, 0), (1, 0, 1)), "entry (1, 1) is not an integer: True"),
+        (((1, 0, 1), (0, 20, 0), (1, None, "x")), "entry (2, 1) is not an integer: None"),
+        (((1, 0, 1), (0, 20, 0), (1, 0)), "row 2 has length 2, expected 3"),
+        (((1, 0.5, 1), (0, 20, 0), (1, 0)), "entry (0, 1) is not an integer: 0.5"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(DimensionMismatchError) as info:
+            HodgeDiamond(rows)
+        assert str(info.value) == message
+
+
 def test_negative_entry_reported_with_location():
     rows = ((1, 0, 1), (0, -20, 0), (1, 0, 1))
     report = HodgeDiamond(rows).validate(ValidationLevel.STRUCTURAL)

@@ -8,6 +8,7 @@ import pytest
 import hkgenus.lefschetz
 from hkgenus.catalog import builtin, builtin_names
 from hkgenus.errors import (
+    InputError,
     InternalInconsistencyError,
     NegativePrimitiveError,
     ValidationError,
@@ -76,6 +77,27 @@ def test_primitive_table_rejects_negative_entries():
         PrimitiveTable(1, ((1, 0, 1), (0, -1, 0)))
 
 
+class Count(int):
+    pass
+
+
+def test_primitive_table_checks_entries_in_order():
+    assert PrimitiveTable(1, ((1, 0, 1), (0, Count(2), 0))).rows[1][1] == 2
+    cases = [
+        (((1, 0, 1), (0, True, 0)), InputError, "entry (1, 1) is not an integer: True"),
+        (((1, 0, 1), (0, 2.0, 0)), InputError, "entry (1, 1) is not an integer: 2.0"),
+        (((1, -1, "x"), (0, 0, 0)), NegativePrimitiveError,
+         "negative primitive multiplicity -1 at (p, q) = (0, 1)"),
+        (((1, "x", -1), (0, 0, 0)), InputError, "entry (0, 1) is not an integer: 'x'"),
+        (((1, 0, 1), (0, 0, Count(-3))), NegativePrimitiveError,
+         "negative primitive multiplicity -3 at (p, q) = (1, 2)"),
+    ]
+    for rows, error, message in cases:
+        with pytest.raises(error) as info:
+            PrimitiveTable(1, rows)
+        assert str(info.value) == message
+
+
 def test_each_diamond_is_scanned_once(monkeypatch):
     computed = []
     for name in ("_symmetry_scan", "primitive_rows"):
@@ -102,6 +124,105 @@ def test_each_diamond_is_scanned_once(monkeypatch):
     verify_supertrace_identity(k3_2)
     assert sorted(computed, key=lambda c: c[0]) == [
         ("_symmetry_scan", k3_2), ("primitive_rows", k3_2)]
+
+
+def count_route_calls(monkeypatch):
+    """Count runs of both S(t) routes and constructions of PrimitiveTable."""
+    calls = {"primitives": 0, "rewrite": 0, "table": 0}
+    for key, name in (("primitives", "supertrace_via_primitives"),
+                      ("rewrite", "supertrace_via_rewrite")):
+        original = getattr(hkgenus.lefschetz, name)
+
+        def counting(d, key=key, original=original):
+            calls[key] += 1
+            return original(d)
+
+        monkeypatch.setattr(hkgenus.lefschetz, name, counting)
+    post_init = PrimitiveTable.__post_init__
+
+    def counting_post_init(self):
+        calls["table"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(PrimitiveTable, "__post_init__", counting_post_init)
+    return calls
+
+
+def test_supertrace_and_primitive_table_are_built_once_per_diamond(monkeypatch):
+    calls = count_route_calls(monkeypatch)
+    d = HodgeDiamond(builtin("K3[3]").diamond.rows)
+    u = SL2Element(2, 1, 1, 1)
+    report = verify_supertrace_identity(d)
+    value = supertrace_value(d, u)
+    result = rozansky_witten_invariant(d, u)
+    table = primitive_multiplicities(d)
+    assert calls == {"primitives": 1, "rewrite": 1, "table": 1}
+    for _ in range(3):
+        assert verify_supertrace_identity(d) == report
+        assert supertrace_value(d, u) == value == result.value
+        assert rozansky_witten_invariant(d, u) == result
+        assert primitive_multiplicities(d) is table
+    assert calls == {"primitives": 1, "rewrite": 1, "table": 1}
+    assert supertrace_polynomial(d) is report.supertrace is result.supertrace
+
+
+def test_failing_diamonds_store_nothing_and_fail_alike(monkeypatch):
+    calls = count_route_calls(monkeypatch)
+    corrupted = [list(r) for r in builtin("K3[2]").diamond.rows]
+    corrupted[0][1] += 1  # breaks Serre and conjugation symmetry
+    negative = [[0] * 5 for _ in range(5)]
+    for p, q in ((0, 0), (0, 4), (4, 0), (4, 4)):
+        negative[p][q] = 1  # symmetric, but prim(2, 0) = -1
+    u = SL2Element(2, 1, 1, 1)
+    calls_by_name = {
+        "verify": verify_supertrace_identity,
+        "polynomial": supertrace_polynomial,
+        "value": lambda d: supertrace_value(d, u),
+        "rw": lambda d: rozansky_witten_invariant(d, u),
+        "primitive": primitive_multiplicities,
+    }
+    for rows in (corrupted, negative):
+        for name, call in calls_by_name.items():
+            errors = []
+            for d in (HodgeDiamond(rows),) * 3 + (HodgeDiamond(rows),):
+                with pytest.raises(ValidationError) as info:
+                    call(d)
+                errors.append((type(info.value), str(info.value)))
+            assert errors == [errors[0]] * 4, name
+    # Nothing was kept, so every call that gets past validation starts the
+    # work again: "polynomial" and "value" run the primitive route on both
+    # tables, and on the negative table they and "primitive" build the table.
+    assert calls == {"primitives": 2 * 2 * 4, "rewrite": 0, "table": 3 * 4}
+
+
+def test_disagreeing_routes_store_nothing(monkeypatch):
+    d = HodgeDiamond(K3.rows)
+    rewrite = hkgenus.lefschetz.supertrace_via_rewrite
+    monkeypatch.setattr(hkgenus.lefschetz, "supertrace_via_rewrite",
+                        lambda d: LaurentPolynomial.zero())
+    for _ in range(2):
+        with pytest.raises(InternalInconsistencyError):
+            supertrace_polynomial(d)
+    monkeypatch.setattr(hkgenus.lefschetz, "supertrace_via_rewrite", rewrite)
+    assert supertrace_polynomial(d) == LaurentPolynomial({1: 2, 0: 20})
+
+
+def test_stored_supertrace_belongs_to_one_diamond(monkeypatch):
+    # Plant a wrong S(t) on one diamond through agreeing patched routes; an
+    # equal diamond (== ignores what is stored) must compute its own.
+    planted = LaurentPolynomial({5: 1})
+    first = HodgeDiamond(K3.rows, name="first")
+    for name in ("supertrace_via_primitives", "supertrace_via_rewrite"):
+        monkeypatch.setattr(hkgenus.lefschetz, name, lambda d: planted)
+    assert supertrace_polynomial(first) is planted
+    monkeypatch.undo()
+    assert repr(first) == repr(HodgeDiamond(K3.rows, name="first"))
+    for other in (HodgeDiamond(K3.rows, name="first"), first.with_name("other")):
+        assert other == first and hash(other) == hash(first)
+        assert supertrace_polynomial(other) == LaurentPolynomial({1: 2, 0: 20})
+        assert supertrace_value(other, SL2Element.identity()) == 24
+        assert verify_supertrace_identity(other).passed
+    assert supertrace_polynomial(first) is planted
 
 
 def test_round_trip_on_catalog():
@@ -181,10 +302,11 @@ def test_halved_duality_form_with_consistent_middle_sign():
 
 def test_form_disagreement_is_an_internal_error(monkeypatch):
     # No input can cause the two routes to differ; force it to check the guard.
+    # The routes run on the first call for a diamond only, so use a fresh one.
     monkeypatch.setattr(hkgenus.lefschetz, "supertrace_via_rewrite",
                         lambda d: LaurentPolynomial.zero())
     with pytest.raises(InternalInconsistencyError):
-        supertrace_polynomial(K3)
+        supertrace_polynomial(HodgeDiamond(K3.rows))
 
 
 def test_verify_theorem_k3_sides():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkgenus.hodge import ValidationLevel
+from hkgenus.hodge import HodgeDiamond, ValidationLevel
 from hkgenus.laurent import Y_PLUS_YINV, LaurentPolynomial, substitute_y_plus_yinv
 from hkgenus.lefschetz import (
     primitive_multiplicities,
@@ -150,3 +150,31 @@ def test_random_diamonds_are_structural_and_satisfy_the_identity(seed, n):
     assert reconstruct_diamond(primitive_multiplicities(diamond)) == diamond
     assert diamond.normalized_genus().is_palindromic()
     assert verify_supertrace_identity(diamond).passed
+
+
+@given(st.integers(0, 10**9), st.integers(1, 4),
+       st.sets(st.sampled_from(["serre", "conjugation", "column"])), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_symmetry_scan_is_empty_exactly_on_symmetric_nonnegative_tables(
+        seed, n, closed_under, negative):
+    # Move one cell of a valid table together with its images under some of
+    # the three symmetries (all three: the table stays symmetric), or make
+    # it negative, and compare with a cell-by-cell reference.
+    rng = random.Random(seed)
+    rows = [list(r) for r in random_structural_diamond(rng, n).rows]
+    top = 2 * n
+    maps = {"serre": lambda p, q: (top - p, top - q), "conjugation": lambda p, q: (q, p),
+            "column": lambda p, q: (top - p, q)}
+    orbit = {(rng.randint(0, top), rng.randint(0, top))}
+    while True:
+        grown = orbit | {maps[name](*cell) for name in closed_under for cell in orbit}
+        if grown == orbit:
+            break
+        orbit = grown
+    for p, q in orbit:
+        rows[p][q] = -1 if negative else rows[p][q] + 1
+    expected_ok = all(
+        rows[p][q] >= 0 and rows[p][q] == rows[top - p][top - q] == rows[q][p] == rows[top - p][q]
+        for p in range(top + 1) for q in range(top + 1))
+    diamond = HodgeDiamond(tuple(map(tuple, rows)))
+    assert (diamond.symmetry_violations() == ()) == expected_ok

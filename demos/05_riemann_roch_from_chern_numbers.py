@@ -3,9 +3,10 @@ The genus from Chern numbers
 ============================
 
 The same two polynomials, chi_{-y} and S(t), computed from the other side:
-formal Chern roots paired as {x_i, -x_i}, the Todd class expanded as an exact
-rational series, and the top-degree part reduced to even Chern monomials and
-evaluated against Chern numbers.  Agreement with the Hodge side is exact.
+formal Chern roots paired as {x_i, -x_i}, each pair contributing one exact
+rational power series in u = x^2, and the multiplicative sequence of that
+series written in even Chern monomials (c_{2k} = (-1)^k e_k(u)) and evaluated
+against Chern numbers.  Agreement with the Hodge side is exact.
 """
 
 from fractions import Fraction
@@ -18,17 +19,17 @@ from hkgenus import (
     substitute_y_plus_yinv,
     supertrace_from_chern,
     supertrace_polynomial,
-    todd_series,
 )
 
 ##############################################################################
-# The Todd class of the paired root set, reduced to the Chern basis.  The
-# engine recovers the classical integrands from series arithmetic alone:
-# c2/12 in degree 2, and (3 c2^2 - c4)/720 in degree 4.
+# The Todd integrand in the Chern basis.  chi_0 is the Todd genus, so it is
+# the y^0 slice of the chi_{-y} integrand, and the multiplicative sequence
+# recovers the classical integrands from series arithmetic alone: c2/12 in
+# degree 2, and (3 c2^2 - c4)/720 in degree 4.
 
 for n in (1, 2):
-    reduced = todd_series(n).top_in_chern_basis()
-    rendered = " + ".join(f"({poly[0]})*{key}" for key, poly in reduced.items())
+    coefficients = chi_minus_y_chern_coefficients(n)
+    rendered = " + ".join(f"({poly[0]})*{key}" for key, poly in coefficients.items())
     print(f"top Todd part, n={n}: {rendered}")
 
 ##############################################################################

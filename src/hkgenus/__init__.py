@@ -51,14 +51,12 @@ from .lefschetz import (
 )
 from .riemann_roch import (
     ChernData,
-    RootSeries,
     chi_minus_y_chern_coefficients,
     chi_minus_y_from_chern,
     load_chern_data,
     save_chern_data,
     supertrace_chern_coefficients,
     supertrace_from_chern,
-    todd_series,
 )
 from .catalog import (
     ManifoldRecord,
@@ -83,7 +81,6 @@ __all__ = [
     "ManifoldRecord",
     "NegativePrimitiveError",
     "PrimitiveTable",
-    "RootSeries",
     "RozanskyWittenResult",
     "SL2Element",
     "IdentityReport",
@@ -118,7 +115,6 @@ __all__ = [
     "supertrace_value",
     "supertrace_via_primitives",
     "supertrace_via_rewrite",
-    "todd_series",
     "verify_character_identity",
     "verify_supertrace_identity",
 ]

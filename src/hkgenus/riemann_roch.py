@@ -1,35 +1,43 @@
 """Symbolic Riemann-Roch for paired Chern roots, at desk scale (n = 1, 2).
 
 The holomorphic tangent bundle of a hyper-Kahler 4n-manifold has 2n Chern
-roots that come in pairs {x_i, -x_i}, so odd Chern classes vanish and the
-degree-2n Chern monomials in even classes form a tiny basis (n=1: {c2};
-n=2: {c2^2, c4}).  This module expands
+roots that come in pairs {x_i, -x_i}.  With u_i = x_i^2 the total Chern class
+is prod_i (1 - u_i), so odd Chern classes vanish and c_{2k} = (-1)^k e_k(u),
+where e_k is the k-th elementary symmetric function of u_1..u_n.  Each root
+pair contributes one even factor to the integrand, a power series F(u):
 
-    Todd of the paired root set  *  prod_i ((1+y^2) - 2 y cosh x_i)
+    x^2 / (2 cosh x - 2) * ((1 + y^2) - 2 y cosh x)     for chi_{-y},
+    x^2 / (2 cosh x - 2) * (t - 2 cosh x)               for S(t),
 
-and, for the trace form,
+where x^2 / (2 cosh x - 2) is the Todd class x/(1 - e^{-x}) * (-x)/(1 - e^x)
+of the pair.  The degree-2n integrand is the degree-n part K_n of the
+multiplicative sequence prod_i F(u_i) (Hirzebruch, Topological Methods in
+Algebraic Geometry, section 1).  With log F = sum_k b_k u^k and the power
+sums p_k(u) written in the e_k by Newton's identities,
 
-    Todd of the paired root set  *  prod_i (t - 2 cosh x_i)
+    m K_m = sum_{j=1..m} j b_j p_j K_{m-j},    K_0 = 1.
 
-as truncated series in x_1..x_n with exact rational coefficients, extracts the
-total-degree-2n part, rewrites it in the even-Chern basis, and evaluates it
-against supplied Chern numbers.  The first pipeline yields chi_{-y} as a
-polynomial in y, the second the graded-trace polynomial S(t); substituting
-t = (1+y^2)/y and multiplying by y^n carries one into the other exactly.
+Renaming e_k to (-1)^k c_{2k} writes K_n in the Chern monomials of degree 2n,
+one per partition of n (n=1: c2; n=2: c2^2, c4), each with a polynomial
+coefficient in y (or t).  Evaluated against Chern numbers, the first
+sequence yields chi_{-y}, the second the graded-trace polynomial S(t);
+substituting t = (1+y^2)/y and multiplying by y^n carries one into the other
+exactly.
 
 Internally everything is a Fraction (Todd coefficients such as 1/12 are not
-integers); an integrality assertion guards the boundary, since every genus
-value is an integer and a non-integral result means inconsistent Chern data
-or a pipeline bug.
+integers); an integrality check guards the boundary, since every genus value
+is an integer and a non-integral result means inconsistent Chern data or a
+pipeline bug.
 
-Extension point: the series engine is generic in n, only the Chern monomial
-bases below are enumerated per dimension.
+The construction works for every n.  The public functions stop at n = 2:
+from n = 3 on, Chern monomials mix classes (c2c4), a key format that
+``parse_monomial_key`` does not read.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
-import itertools
 import json
 import math
 import re
@@ -38,29 +46,54 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .boundary import parse_int, read_json, shorten
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError
 from .laurent import LaurentPolynomial
 
-# x-exponent tuple -> {formal-variable exponent -> coefficient}
-YDict = dict[int, Fraction]
-Terms = dict[tuple[int, ...], YDict]
+# A polynomial in e_1, e_2, ... and one formal variable (y or t), as
+# (parts, exponent) -> coefficient; parts lists the k of each factor e_k in
+# ascending order, and () marks a term free of the e_k.
+Poly = dict[tuple[tuple[int, ...], int], Fraction]
 
-#: Degree-2n monomials in even Chern classes, per n.  Keys use the external
-#: format (lowercase, caret for powers); parts list the class indices.
-CHERN_BASES: dict[int, tuple[tuple[str, tuple[int, ...]], ...]] = {
-    1: (("c2", (2,)),),
-    2: (("c2^2", (2, 2)), ("c4", (4,))),
-}
+# Values of n the public functions accept.
+_SUPPORTED_N = [1, 2]
 
 _KEY_RE = re.compile(r"^c(\d+)(?:\^(\d+))?$")
 
 
-def _supported_n(n: int) -> int:
-    if n not in CHERN_BASES:
+def _supported_n(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"n must be an integer, got {shorten(repr(n))}")
+    if n not in _SUPPORTED_N:
         raise InputError(
-            f"unsupported n = {n!r}; Chern monomial bases are available for "
-            f"n in {sorted(CHERN_BASES)}")
+            f"unsupported n = {shorten(repr(n))}; Chern monomial bases are available for "
+            f"n in {_SUPPORTED_N}")
     return n
+
+
+def _partitions(n: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts >= smallest, ascending, in lexicographic order."""
+    if n == 0:
+        yield ()
+    for first in range(smallest, n + 1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The degree-2n monomials in even Chern classes, one per partition of n.
+
+    Each entry is (key, partition): the key in the external format (lowercase,
+    caret for powers: "c2^2", "c2c4") and the k of each factor c_{2k}, in
+    ascending order.  Entries run in lexicographic order of the partitions,
+    from c2^n to c_{2n}.
+    """
+    basis = []
+    for partition in _partitions(n):
+        powers = collections.Counter(partition)
+        key = "".join(f"c{2 * k}" + (f"^{m}" if m > 1 else "") for k, m in powers.items())
+        basis.append((key, partition))
+    return tuple(basis)
 
 
 def parse_monomial_key(key: str) -> tuple[int, ...]:
@@ -88,9 +121,12 @@ class ChernData:
 
     def __post_init__(self):
         _supported_n(self.n)
-        basis_keys = {key for key, _ in CHERN_BASES[self.n]}
+        basis_keys = {key for key, _ in chern_basis(self.n)}
         cleaned: dict[str, int] = {}
         for raw_key, value in dict(self.values).items():
+            if not isinstance(raw_key, str):
+                raise InputError(
+                    f"Chern monomial keys must be strings, got {shorten(repr(raw_key))}")
             key = raw_key.strip().lower().replace(" ", "")
             parts = parse_monomial_key(key)
             if sum(parts) != 2 * self.n:
@@ -99,6 +135,8 @@ class ChernData:
                     f"expected {2 * self.n}")
             if key not in basis_keys:
                 raise InputError(f"unknown Chern monomial {shorten(repr(key))} for n = {self.n}")
+            if key in cleaned:
+                raise InputError(f"Chern monomial {key!r} is given more than once")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"Chern number for {key!r} must be an integer")
             cleaned[key] = value
@@ -131,285 +169,116 @@ def save_chern_data(data: ChernData, path) -> None:
         handle.write("\n")
 
 
-# -- exact series plumbing ---------------------------------------------------
+# -- the multiplicative sequence ---------------------------------------------
 
-def _ydict_iadd(acc: YDict, other: YDict, scale: Fraction = Fraction(1)) -> None:
-    for e, c in other.items():
-        value = acc.get(e, Fraction(0)) + c * scale
+def _add(acc: Poly, other: Poly, scale: Fraction) -> None:
+    for key, c in other.items():
+        value = acc.get(key, 0) + scale * c
         if value:
-            acc[e] = value
-        elif e in acc:
-            del acc[e]
-
-
-def _ydict_mul(a: YDict, b: YDict) -> YDict:
-    out: YDict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            value = out.get(e, Fraction(0)) + c1 * c2
-            if value:
-                out[e] = value
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _series_mul(a: Terms, b: Terms, cap: int) -> Terms:
-    out: Terms = {}
-    for e1, y1 in a.items():
-        for e2, y2 in b.items():
-            e = tuple(u + v for u, v in zip(e1, e2))
-            if sum(e) > cap:
-                continue
-            acc = out.setdefault(e, {})
-            _ydict_iadd(acc, _ydict_mul(y1, y2))
-    return {e: yd for e, yd in out.items() if yd}
-
-
-def _inverse_1d(g: list[Fraction]) -> list[Fraction]:
-    # Reciprocal of a power series with constant term 1, same truncation.
-    assert g[0] == 1
-    h = [Fraction(1)] + [Fraction(0)] * (len(g) - 1)
-    for k in range(1, len(g)):
-        h[k] = -sum(g[j] * h[k - j] for j in range(1, k + 1))
-    return h
-
-
-def _todd_factor_1d(order: int) -> list[Fraction]:
-    # x / (1 - e^{-x}) = 1 / g(x) with g = sum_k (-x)^k / (k+1)!.
-    g = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(order + 1)]
-    return _inverse_1d(g)
-
-
-def _cosh_1d(order: int) -> list[Fraction]:
-    return [Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)]
-
-
-def _embed_1d(coeffs: list[Fraction], index: int, n: int, cap: int,
-              negated: bool = False) -> Terms:
-    """Lift a series in one root to a Terms dict in x_1..x_n (y-free)."""
-    out: Terms = {}
-    for k, c in enumerate(coeffs):
-        if k > cap or c == 0:
-            continue
-        if negated and k % 2 == 1:
-            c = -c
-        exps = tuple(k if i == index else 0 for i in range(n))
-        out[exps] = {0: c}
-    return out
-
-
-class RootSeries:
-    """A truncated series in the independent roots x_1..x_n.
-
-    Coefficients are polynomials in one formal variable (y or t) with exact
-    rational entries; the truncation keeps total x-degree at most 2n, which is
-    all that ever contributes to the degree-matching evaluation.
-    """
-
-    __slots__ = ("n", "_terms")
-
-    def __init__(self, n: int, terms: Terms):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", {
-            e: dict(yd) for e, yd in terms.items() if yd and sum(e) <= 2 * n
-        })
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSeries is immutable")
-
-    def terms(self) -> Iterator[tuple[tuple[int, ...], YDict]]:
-        return iter(sorted((e, dict(yd)) for e, yd in self._terms.items()))
-
-    def coefficient(self, exponents) -> YDict:
-        return dict(self._terms.get(tuple(exponents), {}))
-
-    def degree_part(self, total: int) -> Terms:
-        return {e: dict(yd) for e, yd in self._terms.items() if sum(e) == total}
-
-    def __mul__(self, other: "RootSeries") -> "RootSeries":
-        if self.n != other.n:
-            raise ValueError("root count mismatch")
-        return RootSeries(self.n, _series_mul(self._terms, other._terms, 2 * self.n))
-
-    def top_in_chern_basis(self) -> dict[str, YDict]:
-        """Rewrite the total-degree-2n part in the even-Chern monomial basis."""
-        return _reduce_to_chern(self.degree_part(2 * self.n), self.n)
-
-
-def todd_series(n: int) -> RootSeries:
-    """The Todd class of the paired root set {x_i, -x_i}, to total degree 2n.
-
-    Computed directly as the product over all 2n roots of the series
-    x/(1 - e^{-x}), with no closed form assumed; the pair {x, -x} makes the
-    result even in every variable.
-    """
-    _supported_n(n)
-    cap = 2 * n
-    factor = _todd_factor_1d(cap)
-    product: Terms = {(0,) * n: {0: Fraction(1)}}
-    for i in range(n):
-        product = _series_mul(product, _embed_1d(factor, i, n, cap), cap)
-        product = _series_mul(product, _embed_1d(factor, i, n, cap, negated=True), cap)
-    return RootSeries(n, product)
-
-
-# -- Chern-basis reduction ---------------------------------------------------
-
-def _paired_elementary(n: int, k: int) -> dict[tuple[int, ...], Fraction]:
-    """e_k of the 2n paired roots, as an exact polynomial in x_1..x_n."""
-    roots = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for combo in itertools.combinations(roots, k):
-        exps = [0] * n
-        sign = 1
-        for i, s in combo:
-            exps[i] += 1
-            sign *= s
-        key = tuple(exps)
-        out[key] = out.get(key, Fraction(0)) + sign
-    return {e: c for e, c in out.items() if c}
-
-
-@functools.lru_cache(maxsize=None)
-def _chern_expansions(n: int) -> tuple[tuple[str, tuple[tuple[tuple[int, ...], Fraction], ...]], ...]:
-    """Each degree-2n Chern monomial expanded into x-monomials."""
-    expansions = []
-    for key, parts in CHERN_BASES[n]:
-        poly: dict[tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
-        for part in parts:
-            factor = _paired_elementary(n, part)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in poly.items():
-                for e2, c2 in factor.items():
-                    e = tuple(u + v for u, v in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            poly = {e: c for e, c in out.items() if c}
-        expansions.append((key, tuple(sorted(poly.items()))))
-    return tuple(expansions)
-
-
-def _reduce_to_chern(top: Terms, n: int) -> dict[str, YDict]:
-    """Solve top = sum_k alpha_k * expansion_k exactly, alpha_k polynomial.
-
-    The paired roots force every contributing x-monomial to have all-even
-    exponents; a stray odd exponent, or an unsolvable system, is a pipeline
-    bug rather than a data problem.
-    """
-    for exps in top:
-        if any(e % 2 for e in exps):
-            raise InternalInconsistencyError(
-                f"odd-degree monomial {exps} survived the paired-root cancellation")
-    expansions = _chern_expansions(n)
-    monomials = sorted(set(top) | {e for _, poly in expansions for e, _ in poly})
-    # Rows: one per x-monomial.  Columns: one per Chern basis element.
-    matrix = [[dict(poly).get(m, Fraction(0)) for _, poly in expansions]
-              for m in monomials]
-    rhs: list[YDict] = [dict(top.get(m, {})) for m in monomials]
-    n_unknowns = len(expansions)
-    solution: list[YDict | None] = [None] * n_unknowns
-    row = 0
-    for col in range(n_unknowns):
-        pivot = next((r for r in range(row, len(matrix)) if matrix[r][col]), None)
-        if pivot is None:
-            raise InternalInconsistencyError("Chern basis expansions are degenerate")
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
-        inv = 1 / matrix[row][col]
-        matrix[row] = [v * inv for v in matrix[row]]
-        scaled: YDict = {}
-        _ydict_iadd(scaled, rhs[row], inv)
-        rhs[row] = scaled
-        for r in range(len(matrix)):
-            if r != row and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[row])]
-                _ydict_iadd(rhs[r], rhs[row], -factor)
-        row += 1
-    for r in range(row, len(matrix)):
-        if any(matrix[r]) or rhs[r]:
-            raise InternalInconsistencyError(
-                "top-degree part does not lie in the even-Chern span")
-    # Back-substitution is already complete (full reduction above).
-    for col in range(n_unknowns):
-        solution[col] = rhs[col]
-    return {key: dict(solution[i]) for i, (key, _) in enumerate(expansions)}
-
-
-# -- the two integrands ------------------------------------------------------
-
-def _genus_factor(i: int, n: int) -> Terms:
-    """((1 + y^2) - 2 y cosh x_i) as a Terms dict."""
-    cap = 2 * n
-    out: Terms = {}
-    for k, c in enumerate(_cosh_1d(cap)):
-        if c == 0:
-            continue
-        exps = tuple(k if j == i else 0 for j in range(n))
-        if k == 0:
-            out[exps] = {0: Fraction(1), 1: Fraction(-2), 2: Fraction(1)}
+            acc[key] = value
         else:
-            out[exps] = {1: -2 * c}
-    return out
+            acc.pop(key, None)
 
 
-def _trace_factor(i: int, n: int) -> Terms:
-    """(t - 2 cosh x_i) as a Terms dict."""
-    cap = 2 * n
-    out: Terms = {}
-    for k, c in enumerate(_cosh_1d(cap)):
-        if c == 0:
-            continue
-        exps = tuple(k if j == i else 0 for j in range(n))
-        if k == 0:
-            out[exps] = {1: Fraction(1), 0: Fraction(-2)}
-        else:
-            out[exps] = {0: -2 * c}
-    return out
+def _mul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for (parts_a, exp_a), ca in a.items():
+        for (parts_b, exp_b), cb in b.items():
+            key = (tuple(sorted(parts_a + parts_b)), exp_a + exp_b)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _pair_series(n: int, kind: str) -> list[Poly]:
+    """u^0..u^n coefficients of one pair's factor, normalised to constant term 1.
+
+    F(u) = x^2/(2 cosh x - 2) * g(x) has a polynomial constant term a0, so its
+    logarithm would need rational functions of y.  F(a0 u)/a0 has constant term
+    1 and polynomial coefficients F_k a0^(k-1), and since the exponents of a
+    degree-n term of prod_i F(u_i) over n factors sum to n, the two products
+    have the same degree-n part.
+    """
+    # x^2/(2 cosh x - 2) is the reciprocal of sum_k 2 u^k/(2k+2)!.
+    todd = [Fraction(1)]
+    for k in range(1, n + 1):
+        todd.append(-sum(Fraction(2, math.factorial(2 * j + 2)) * todd[k - j]
+                         for j in range(1, k + 1)))
+    series: list[Poly] = []
+    for k in range(n + 1):
+        cosh_part = -2 * sum(todd[j] / math.factorial(2 * (k - j)) for j in range(k + 1))
+        if kind == "genus":  # g = (1 + y^2) - 2 y cosh x
+            series.append({((), 0): todd[k], ((), 1): cosh_part, ((), 2): todd[k]})
+        else:  # g = t - 2 cosh x
+            series.append({((), 0): cosh_part, ((), 1): todd[k]})
+    power = {((), 0): Fraction(1)}
+    normalised = [power]
+    for k in range(1, n + 1):
+        normalised.append(_mul(series[k], power))
+        power = _mul(power, series[0])
+    return normalised
 
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_coefficients(n: int, kind: str) -> tuple[tuple[str, tuple[tuple[int, Fraction], ...]], ...]:
-    _supported_n(n)
-    cap = 2 * n
-    build = _genus_factor if kind == "genus" else _trace_factor
-    product = dict(todd_series(n).terms())
-    for i in range(n):
-        product = _series_mul(product, build(i, n), cap)
-    top = {e: yd for e, yd in product.items() if sum(e) == cap}
-    reduced = _reduce_to_chern(top, n)
-    return tuple(
-        (key, tuple(sorted(reduced.get(key, {}).items())))
-        for key, _ in CHERN_BASES[n]
-    )
+    """The degree-2n integrand of ``kind`` per Chern monomial, for any n >= 1."""
+    series = _pair_series(n, kind)
+    # u d/du log F = sum_k d_k u^k, from k F_k = sum_{j=1..k} d_j F_{k-j}, and
+    # Newton's identities p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
+    log_derivative: list[Poly] = [{}]
+    power_sums: list[Poly] = [{}]
+    for k in range(1, n + 1):
+        d_k = {key: k * c for key, c in series[k].items()}
+        p_k = {((k,), 0): Fraction((-1) ** (k - 1) * k)}
+        for j in range(1, k):
+            _add(d_k, _mul(log_derivative[j], series[k - j]), Fraction(-1))
+            _add(p_k, _mul({((j,), 0): Fraction(1)}, power_sums[k - j]), Fraction((-1) ** (j - 1)))
+        log_derivative.append(d_k)
+        power_sums.append(p_k)
+    # The multiplicative sequence: m K_m = sum_{j=1..m} d_j p_j K_{m-j}.
+    weighted = [_mul(d, p) for d, p in zip(log_derivative, power_sums)]
+    sequence: list[Poly] = [{((), 0): Fraction(1)}]
+    for m in range(1, n + 1):
+        k_m: Poly = {}
+        for j in range(1, m + 1):
+            _add(k_m, _mul(weighted[j], sequence[m - j]), Fraction(1, m))
+        sequence.append(k_m)
+    # e_k -> (-1)^k c_{2k}: the signs of a degree-n monomial multiply to (-1)^n.
+    by_partition: dict[tuple[int, ...], dict[int, Fraction]] = collections.defaultdict(dict)
+    for (partition, exponent), c in sequence[n].items():
+        by_partition[partition][exponent] = (-1) ** n * c
+    return tuple((key, tuple(sorted(by_partition[partition].items())))
+                 for key, partition in chern_basis(n))
 
 
-def chi_minus_y_chern_coefficients(n: int) -> dict[str, YDict]:
+def chi_minus_y_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
     """Per-Chern-monomial polynomials in y whose weighted sum is chi_{-y}.
 
     Exposed so callers can solve for unknown Chern numbers against a known
     genus (this is how the fourfold's c2^2 regression constant was derived).
+    The y^0 slice is the Todd integrand, since chi_0 is the Todd genus.
     """
+    _supported_n(n)
     return {key: dict(poly) for key, poly in _symbolic_coefficients(n, "genus")}
 
 
-def supertrace_chern_coefficients(n: int) -> dict[str, YDict]:
+def supertrace_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
     """Per-Chern-monomial polynomials in t whose weighted sum is S(t)."""
+    _supported_n(n)
     return {key: dict(poly) for key, poly in _symbolic_coefficients(n, "trace")}
 
 
-def _evaluate(coefficients: dict[str, YDict], data: ChernData) -> LaurentPolynomial:
-    total: YDict = {}
+def _evaluate(coefficients: dict[str, dict[int, Fraction]], data: ChernData) -> LaurentPolynomial:
+    total: dict[int, Fraction] = {}
     for key, poly in coefficients.items():
-        _ydict_iadd(total, poly, Fraction(data.value(key)))
+        value = data.value(key)
+        for e, c in poly.items():
+            total[e] = total.get(e, 0) + value * c
     bad = {e: c for e, c in total.items() if c.denominator != 1}
     if bad:
         raise InputError(
             "non-integral genus coefficients (inconsistent Chern data?): "
             + ", ".join(f"exp {e}: {c}" for e, c in sorted(bad.items())))
-    return LaurentPolynomial({e: int(c) for e, c in total.items()})
+    return LaurentPolynomial({e: int(c) for e, c in total.items() if c})
 
 
 def chi_minus_y_from_chern(n: int, data: ChernData) -> LaurentPolynomial:

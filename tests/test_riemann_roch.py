@@ -10,51 +10,100 @@ from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
 from hkgenus.lefschetz import supertrace_polynomial
 from hkgenus.riemann_roch import (
     ChernData,
+    _symbolic_coefficients,
+    chern_basis,
     chi_minus_y_chern_coefficients,
     chi_minus_y_from_chern,
     load_chern_data,
     parse_monomial_key,
     save_chern_data,
+    supertrace_chern_coefficients,
     supertrace_from_chern,
-    todd_series,
 )
 
 K3_CHERN = ChernData(1, {"c2": 24})
 K3_2_CHERN = ChernData(2, {"c2^2": 828, "c4": 324})
 
 
-def test_todd_constant_term_is_one():
-    for n in (1, 2):
-        assert todd_series(n).coefficient((0,) * n) == {0: Fraction(1)}
+# The n = 1, 2 tables of the x-root series and Gaussian elimination that the
+# multiplicative sequence replaced, pinned bit for bit: values, their type and
+# the order of the keys.
+GOLDEN_GENUS = {
+    1: {"c2": {0: Fraction(1, 12), 1: Fraction(5, 6), 2: Fraction(1, 12)}},
+    2: {"c2^2": {0: Fraction(1, 240), 1: Fraction(-1, 60), 2: Fraction(1, 40),
+                 3: Fraction(-1, 60), 4: Fraction(1, 240)},
+        "c4": {0: Fraction(-1, 720), 1: Fraction(31, 180), 2: Fraction(79, 120),
+               3: Fraction(31, 180), 4: Fraction(-1, 720)}},
+}
+GOLDEN_TRACE = {
+    1: {"c2": {0: Fraction(5, 6), 1: Fraction(1, 12)}},
+    2: {"c2^2": {0: Fraction(1, 60), 1: Fraction(-1, 60), 2: Fraction(1, 240)},
+        "c4": {0: Fraction(119, 180), 1: Fraction(31, 180), 2: Fraction(-1, 720)}},
+}
 
 
-def test_todd_is_even_in_every_root():
-    for n in (1, 2):
-        for exps, _ in todd_series(n).terms():
-            assert all(e % 2 == 0 for e in exps)
+def _exact_items(table):
+    # Key order and value types, which == on dicts ignores.
+    return [(key, type(c), e, c) for key, poly in table.items() for e, c in poly.items()]
 
 
-def test_todd_is_symmetric_under_root_permutation():
-    series = todd_series(2)
-    for exps, poly in series.terms():
-        assert series.coefficient(exps[::-1]) == poly
+@pytest.mark.parametrize("n", [1, 2])
+def test_coefficient_tables_match_golden(n):
+    for got, want in ((chi_minus_y_chern_coefficients(n), GOLDEN_GENUS[n]),
+                      (supertrace_chern_coefficients(n), GOLDEN_TRACE[n])):
+        assert got == want
+        assert _exact_items(got) == _exact_items(want)
+
+
+def test_chern_basis_follows_the_partitions():
+    assert chern_basis(1) == (("c2", (1,)),)
+    assert chern_basis(2) == (("c2^2", (1, 1)), ("c4", (2,)))
+    assert [key for key, _ in chern_basis(3)] == ["c2^3", "c2c4", "c6"]
+    assert [key for key, _ in chern_basis(4)] == ["c2^4", "c2^2c4", "c2c6", "c4^2", "c8"]
+    # Partition counts p(n), each partition once and summing to n.
+    for n, count in enumerate((1, 2, 3, 5, 7, 11, 15, 22), start=1):
+        partitions = [partition for _, partition in chern_basis(n)]
+        assert len(set(partitions)) == count
+        assert all(sum(partition) == n for partition in partitions)
 
 
 def test_todd_top_in_chern_basis():
-    # Classical Todd integrands for c1 = c3 = 0: td_2 = c2/12 and
-    # td_4 = (3 c2^2 - c4)/720, recovered by the series engine from scratch.
-    assert todd_series(1).top_in_chern_basis() == {"c2": {0: Fraction(1, 12)}}
-    assert todd_series(2).top_in_chern_basis() == {
-        "c2^2": {0: Fraction(3, 720)},
-        "c4": {0: Fraction(-1, 720)},
-    }
+    # chi_0 is the Todd genus, so the y^0 slice of the chi_{-y} integrand is the
+    # classical Todd integrand for c1 = c3 = 0: td_2 = c2/12 and
+    # td_4 = (3 c2^2 - c4)/720, recovered from the pair series alone.
+    def todd(n):
+        return {key: poly[0] for key, poly in chi_minus_y_chern_coefficients(n).items()}
+
+    assert todd(1) == {"c2": Fraction(1, 12)}
+    assert todd(2) == {"c2^2": Fraction(3, 720), "c4": Fraction(-1, 720)}
 
 
 def test_todd_genus_evaluations_match_hodge_side():
-    reduced = todd_series(1).top_in_chern_basis()
-    assert sum(poly[0] * K3_CHERN.value(key) for key, poly in reduced.items()) == 2
-    reduced = todd_series(2).top_in_chern_basis()
-    assert sum(poly[0] * K3_2_CHERN.value(key) for key, poly in reduced.items()) == 3
+    # chi(O) = n + 1 for a hyper-Kahler 4n-manifold.
+    for n, data in ((1, K3_CHERN), (2, K3_2_CHERN)):
+        coefficients = chi_minus_y_chern_coefficients(n)
+        assert sum(poly[0] * data.value(key) for key, poly in coefficients.items()) == n + 1
+
+
+def test_k3_3_chern_numbers_reproduce_the_hodge_side():
+    # Ellingsrud-Goettsche-Lehn (J. Algebraic Geom. 10, 2001): K3[3] has
+    # c2^3 = 36800, c2c4 = 14720, c6 = 3200.  n = 3 is the first dimension with
+    # a mixed monomial; the public functions stop at n = 2, so this reads the
+    # private tables.
+    chern = {"c2^3": 36800, "c2c4": 14720, "c6": 3200}
+    diamond = builtin("K3[3]").diamond
+
+    def evaluate(kind):
+        total = {}
+        for key, poly in _symbolic_coefficients(3, kind):
+            for exponent, c in poly:
+                total[exponent] = total.get(exponent, 0) + chern[key] * c
+        assert all(c.denominator == 1 for c in total.values())
+        return LaurentPolynomial({e: int(c) for e, c in total.items()})
+
+    assert [key for key, _ in _symbolic_coefficients(3, "genus")] == list(chern)
+    assert evaluate("genus") == diamond.chi_y().negate_variable()
+    assert evaluate("trace") == supertrace_polynomial(diamond)
 
 
 def test_chi_k3_matches_hodge_side():
@@ -120,10 +169,14 @@ def test_missing_monomial_rejected():
 
 
 def test_unsupported_n_rejected():
-    with pytest.raises(InputError):
-        todd_series(3)
+    for coefficients in (chi_minus_y_chern_coefficients, supertrace_chern_coefficients):
+        with pytest.raises(InputError, match=r"for n in \[1, 2\]"):
+            coefficients(3)
     with pytest.raises(InputError):
         ChernData(3, {})
+    with pytest.raises(InputError) as error:
+        ChernData(10 ** 4000, {})
+    assert len(str(error.value)) < 200
     with pytest.raises(InputError):
         chi_minus_y_from_chern(2, K3_CHERN)  # data dimension mismatch
 
@@ -161,3 +214,28 @@ def test_chern_data_file_parse_error_reports_position(tmp_path):
     path.write_text('{"n": 2,\n  "chern": }\n', encoding="utf-8")
     with pytest.raises(InputError, match="line 2"):
         load_chern_data(path)
+
+
+@pytest.mark.parametrize("n", [1.0, True, "1", None])
+def test_chern_data_n_must_be_an_int(n):
+    with pytest.raises(InputError, match="n must be an integer"):
+        ChernData(n, {"c2": 24})
+
+
+def test_chern_data_file_with_float_n_rejected(tmp_path):
+    path = tmp_path / "float.chern.json"
+    path.write_text('{"n": 1.0, "chern": {"c2": 24}}', encoding="utf-8")
+    with pytest.raises(InputError, match="n must be an integer"):
+        load_chern_data(path)
+
+
+def test_keys_normalising_to_one_monomial_rejected():
+    with pytest.raises(InputError, match="more than once"):
+        ChernData(1, {" C2 ": 24, "c2": 25})
+    with pytest.raises(InputError, match="more than once"):
+        ChernData(2, {"c2^2": 828, "C2^2": 828, "c4": 324})
+
+
+def test_non_string_key_rejected():
+    with pytest.raises(InputError, match="must be strings"):
+        ChernData(1, {1: 24})

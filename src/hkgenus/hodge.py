@@ -24,6 +24,7 @@ y = -1, 0, 1 are the Euler characteristic, the Todd genus and the signature.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -105,7 +106,7 @@ class HodgeDiamond:
                 raise DimensionMismatchError(
                     f"row {p} has length {len(row)}, expected {side}"
                 )
-            if all(type(value) is int for value in row):
+            if set(map(type, row)) == {int}:
                 continue  # exact ints need no closer look
             for q, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
@@ -193,7 +194,7 @@ class HodgeDiamond:
         """
         rows = self.rows
         return rows[:2] + tuple(
-            tuple(a - b for a, b in zip(rows[p], rows[p - 2]))
+            tuple(map(operator.sub, rows[p], rows[p - 2]))
             for p in range(2, self.n + 1))
 
     @cached_property
@@ -201,7 +202,7 @@ class HodgeDiamond:
         return tuple(
             Violation("negative_primitive", p, q,
                       f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {value} is negative")
-            for p, row in enumerate(self.primitive_rows)
+            for p, row in enumerate(self.primitive_rows) if min(row) < 0
             for q, value in enumerate(row) if value < 0)
 
     def validate(self, level: ValidationLevel = ValidationLevel.STRUCTURAL) -> ValidationReport:

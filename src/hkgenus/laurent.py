@@ -42,15 +42,14 @@ class LaurentPolynomial:
     __slots__ = ("_terms", "_key")
 
     def __init__(self, terms: Coefficients = ()):
-        cleaned: dict[int, int] = {}
-        for exponent, coefficient in dict(terms).items():
-            # Exact ``int`` passes at once; anything else gets the full check.
-            if type(exponent) is not int:
+        terms = dict(terms)
+        # Exact ``int`` everywhere passes one set test; anything else gets the
+        # full per-term check, which raises at the first bad term in order.
+        if not {*map(type, terms), *map(type, terms.values())} <= {int}:
+            for exponent, coefficient in terms.items():
                 _check_int(exponent)
-            if type(coefficient) is not int:
                 _check_int(coefficient)
-            if coefficient != 0:
-                cleaned[exponent] = coefficient
+        cleaned = {e: c for e, c in terms.items() if c != 0}
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_key", tuple(sorted(cleaned.items())))
 
@@ -159,6 +158,8 @@ class LaurentPolynomial:
         return other - self
 
     def __mul__(self, other) -> "LaurentPolynomial":
+        if type(other) is int:
+            return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

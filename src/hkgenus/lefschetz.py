@@ -22,6 +22,12 @@ as Laurent polynomials, which proves the identity for every U simultaneously
 because both sides depend on U only through its trace.  Specializing U to an
 integer matrix gives the mapping-torus invariant of Rozansky-Witten type.
 
+Both routes add weighted characters into one exact integer coefficient map
+and build a single polynomial at the end.  The primitive route forms each
+product weight * t_r as a polynomial before adding it; the rewrite route adds
+weight * c for every term c t^e of t_r straight into the map, so it builds no
+polynomial per row.
+
 S(t) and the primitive table depend only on the diamond, so each is computed
 and cross-checked once per diamond and kept on it; later calls (the value at
 another element, the invariant, the decomposition) reuse the checked result.
@@ -34,6 +40,7 @@ themselves, and the form spaces they act on, are out of scope.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -55,9 +62,10 @@ _PRIMITIVE_TABLE = "_primitive_table"
 _SUPERTRACE = "_supertrace"
 
 
-def _accumulate(total: dict[int, int], poly: LaurentPolynomial) -> None:
+def _accumulate(total: dict[int, int], poly: LaurentPolynomial, weight: int = 1) -> None:
+    """Add ``weight * poly`` into the coefficient map ``total``."""
     for e, c in poly.terms():
-        total[e] = total.get(e, 0) + c
+        total[e] = total.get(e, 0) + weight * c
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,7 @@ class PrimitiveTable:
             if len(row) != 2 * self.n + 1:
                 raise InputError(
                     f"row {p} has length {len(row)}, expected {2 * self.n + 1}")
-            if all(type(value) is int for value in row) and min(row) >= 0:
+            if set(map(type, row)) == {int} and min(row) >= 0:
                 continue  # exact nonnegative ints need no closer look
             for q, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
@@ -129,7 +137,7 @@ def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:
     n = pt.n
     rows = list(pt.rows[:2])
     for p in range(2, n + 1):
-        rows.append(tuple(a + b for a, b in zip(rows[p - 2], pt.rows[p])))
+        rows.append(tuple(map(operator.add, rows[p - 2], pt.rows[p])))
     rows.extend(rows[2 * n - p] for p in range(n + 1, 2 * n + 1))
     return HodgeDiamond(tuple(rows))
 
@@ -152,14 +160,19 @@ def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
     Note the p = n term carries the sign (-1)^{n+q}; this convention is forced
     by the telescoping (and by the K3 case, whose middle term must contribute
     +20, not -20).
+
+    Row p of the diamond gives one integer weight, (-1)^p sum_q (-1)^q h^{p,q};
+    weight times each coefficient of t_{n-p+1}, and minus weight times each of
+    t_{n-p-1}, are added straight into one coefficient map, so no polynomial is
+    built per row and the rows are not regrouped by character.
     """
     n = d.n
     total: dict[int, int] = {}
     for p in range(n + 1):
         row = d.rows[p]
         weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
-        _accumulate(total, character(n - p + 1) * weight)
-        _accumulate(total, character(n - p - 1) * -weight)
+        _accumulate(total, character(n - p + 1), weight)
+        _accumulate(total, character(n - p - 1), -weight)
     return LaurentPolynomial(total)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .boundary import parse_int, read_json, shorten
+from .boundary import SHORT, parse_int, read_json, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
@@ -275,9 +275,12 @@ def _evaluate(coefficients: dict[str, dict[int, Fraction]], data: ChernData) -> 
             total[e] = total.get(e, 0) + value * c
     bad = {e: c for e, c in total.items() if c.denominator != 1}
     if bad:
+        # 1.5 * SHORT keeps the lists that small data give whole, and the
+        # error line under 200 characters for any data the digit limit admits.
+        listed = ", ".join(f"exp {e}: {c}" for e, c in sorted(bad.items()))
         raise InputError(
             "non-integral genus coefficients (inconsistent Chern data?): "
-            + ", ".join(f"exp {e}: {c}" for e, c in sorted(bad.items())))
+            + shorten(listed, 3 * SHORT // 2))
     return LaurentPolynomial({e: int(c) for e, c in total.items() if c})
 
 

@@ -124,6 +124,22 @@ def test_rr_non_integral_exit_1(capsys):
     assert "non-integral" in err
 
 
+def test_rr_non_integral_message_is_pinned(capsys):
+    code, out, err = run(capsys, "rr", "--n", "2", "--c2sq", "1", "--c4", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: non-integral genus coefficients (inconsistent Chern data?): "
+                   "exp 0: 1/360, exp 1: 7/45, exp 2: 41/60, exp 3: 7/45, exp 4: 1/360\n")
+
+
+def test_rr_non_integral_huge_data_ends_in_one_short_error_line():
+    completed = subprocess.run(
+        [sys.executable, "-m", "hkgenus", "rr", "--n", "1", "--c2", "9" * 4000],
+        capture_output=True, text=True)
+    assert_refused_briefly(completed)
+    assert "non-integral" in completed.stderr
+    assert "9" * 200 not in completed.stderr and "3" * 200 not in completed.stderr
+
+
 def test_rr_missing_monomial_exit_1(capsys):
     code, _, err = run(capsys, "rr", "--n", "2", "--c4", "324")
     assert code == 1

@@ -131,6 +131,8 @@ def test_entry_type_errors_name_the_first_bad_entry():
         (((1, 0, 1), (0, 20, 0), (1, None, "x")), "entry (2, 1) is not an integer: None"),
         (((1, 0, 1), (0, 20, 0), (1, 0)), "row 2 has length 2, expected 3"),
         (((1, 0.5, 1), (0, 20, 0), (1, 0)), "entry (0, 1) is not an integer: 0.5"),
+        (((1, 0, 1), (0, 20, False), (1, 0, 1)), "entry (1, 2) is not an integer: False"),
+        (((1, 0, 1), (0, 20, 0), (1, -1, 1.0)), "entry (2, 2) is not an integer: 1.0"),
     ]
     for rows, message in cases:
         with pytest.raises(DimensionMismatchError) as info:

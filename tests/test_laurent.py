@@ -144,6 +144,27 @@ def test_rejects_bool_and_nonint():
         LaurentPolynomial({0: 1.5})
 
 
+@pytest.mark.parametrize("terms, bad", [
+    ({1: 0.0}, "0.0"),              # a zero is checked before it is dropped
+    ({1: False}, "False"),
+    ({True: 1}, "True"),
+    ({0: 1, 1: 2.0}, "2.0"),        # one bad term among ints
+    ({0: 0, 1: 2, "x": 1.5}, "'x'"),  # the exponent is checked before its coefficient
+])
+def test_constructor_error_names_the_first_bad_term(terms, bad):
+    with pytest.raises(TypeError) as info:
+        LaurentPolynomial(terms)
+    assert str(info.value) == f"expected an integer, got {bad}"
+
+
+def test_scalar_product_rejects_bool():
+    p = LaurentPolynomial({0: 3, 2: -1})
+    with pytest.raises(TypeError):
+        p * True
+    with pytest.raises(TypeError):
+        True * p
+
+
 def test_to_string_descending_order():
     p = LaurentPolynomial({2: 3, 1: 42, 0: 234, -1: 42, -2: 3})
     assert p.to_string("y") == "3y^2+42y+234+42y^-1+3y^-2"

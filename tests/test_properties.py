@@ -102,6 +102,15 @@ def test_constructor_rejects_non_integers(bad, as_exponent):
 
 def test_constructor_accepts_int_subclasses():
     assert LaurentPolynomial({Small.ONE: Small.TWO}) == LaurentPolynomial({1: 2})
+    assert LaurentPolynomial({0: 0, 3: 4, Small.ONE: Small.TWO}) == \
+        LaurentPolynomial({3: 4, 1: 2})
+    assert LaurentPolynomial({2: 5}) * Small.TWO == LaurentPolynomial({2: 10})
+
+
+@given(wide_laurent_polys, st.just(0) | st.integers(-2**200, 2**200))
+def test_int_scalar_product_matches_constant_product(p, k):
+    assert p * k == k * p == p * LaurentPolynomial.constant(k)
+    assert all(type(c) is int and c != 0 for _, c in (p * k).terms())
 
 
 @given(laurent_polys)

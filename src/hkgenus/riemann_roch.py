@@ -24,14 +24,15 @@ sequence yields chi_{-y}, the second the graded-trace polynomial S(t);
 substituting t = (1+y^2)/y and multiplying by y^n carries one into the other
 exactly.
 
-Internally everything is a Fraction (Todd coefficients such as 1/12 are not
-integers); an integrality check guards the boundary, since every genus value
-is an integer and a non-integral result means inconsistent Chern data or a
-pipeline bug.
+Todd coefficients such as 1/12 are not integers, so every intermediate
+polynomial is kept as integer numerators over one positive denominator, in
+lowest terms; Fractions appear only in the returned coefficient tables.  An
+integrality check guards the boundary, since every genus value is an integer
+and a non-integral result means inconsistent Chern data or a pipeline bug.
 
-The construction works for every n.  The public functions stop at n = 2:
-from n = 3 on, Chern monomials mix classes (c2c4), a key format that
-``parse_monomial_key`` does not read.
+The construction works for every n, and ``parse_monomial_key`` reads the
+mixed keys (c2c4, c2^2c4) that appear from n = 3 on.  The public functions
+still stop at n = 2.
 """
 
 from __future__ import annotations
@@ -41,23 +42,26 @@ import functools
 import json
 import math
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from .boundary import SHORT, parse_int, read_json, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
-# A polynomial in e_1, e_2, ... and one formal variable (y or t), as
-# (parts, exponent) -> coefficient; parts lists the k of each factor e_k in
-# ascending order, and () marks a term free of the e_k.
-Poly = dict[tuple[tuple[int, ...], int], Fraction]
+# A polynomial in e_1, e_2, ... and one formal variable (y or t): integer
+# numerators (parts, exponent) -> c over one positive denominator, in lowest
+# terms; parts lists the k of each factor e_k in ascending order, and ()
+# marks a term free of the e_k.
+Numerators = dict[tuple[tuple[int, ...], int], int]
+Poly = tuple[Numerators, int]
 
 # Values of n the public functions accept.
 _SUPPORTED_N = [1, 2]
 
-_KEY_RE = re.compile(r"^c(\d+)(?:\^(\d+))?$")
+_KEY_RE = re.compile(r"(?:c\d+(?:\^\d+)?)+")
+_FACTOR_RE = re.compile(r"c(\d+)(?:\^(\d+))?")
 
 
 def _supported_n(n) -> int:
@@ -97,19 +101,22 @@ def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 
 def parse_monomial_key(key: str) -> tuple[int, ...]:
-    """Parse a Chern monomial key like "c2^2" into its class parts (2, 2)."""
-    m = _KEY_RE.match(key.strip().lower())
-    if not m:
+    """Parse a Chern monomial key like "c2^2c4" into its class parts (2, 2, 4)."""
+    text = key.strip().lower()
+    if not _KEY_RE.fullmatch(text):
         raise InputError(f"malformed Chern monomial key {shorten(repr(key))}")
-    index = parse_int(m.group(1), "Chern class index")
-    power = parse_int(m.group(2), "monomial power") if m.group(2) else 1
-    if index % 2 != 0 or index < 2:
-        raise InputError(
-            "only even Chern classes c2, c4, ... appear for paired roots; "
-            f"got {shorten(repr(key))}")
-    if power < 1:
-        raise InputError(f"monomial power must be positive in {shorten(repr(key))}")
-    return (index,) * power
+    parts: tuple[int, ...] = ()
+    for m in _FACTOR_RE.finditer(text):
+        index = parse_int(m.group(1), "Chern class index")
+        power = parse_int(m.group(2), "monomial power") if m.group(2) else 1
+        if index % 2 != 0 or index < 2:
+            raise InputError(
+                "only even Chern classes c2, c4, ... appear for paired roots; "
+                f"got {shorten(repr(key))}")
+        if power < 1:
+            raise InputError(f"monomial power must be positive in {shorten(repr(key))}")
+        parts += (index,) * power
+    return parts
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,8 @@ class ChernData:
 
     def __post_init__(self):
         _supported_n(self.n)
+        if not isinstance(self.values, Mapping):
+            raise InputError("Chern numbers must map monomial keys to integers")
         basis_keys = {key for key, _ in chern_basis(self.n)}
         cleaned: dict[str, int] = {}
         for raw_key, value in dict(self.values).items():
@@ -171,22 +180,30 @@ def save_chern_data(data: ChernData, path) -> None:
 
 # -- the multiplicative sequence ---------------------------------------------
 
-def _add(acc: Poly, other: Poly, scale: Fraction) -> None:
-    for key, c in other.items():
-        value = acc.get(key, 0) + scale * c
-        if value:
-            acc[key] = value
-        else:
-            acc.pop(key, None)
+def _lowest(numerators: Numerators, denominator: int) -> Poly:
+    g = math.gcd(denominator, *numerators.values())
+    return {key: c // g for key, c in numerators.items() if c}, denominator // g
+
+
+def _sum(terms: list[tuple[int, Poly]], divisor: int = 1) -> Poly:
+    """The sum of scale * poly over ``terms``, divided by ``divisor``."""
+    denominator = math.lcm(*(d for _, (_, d) in terms))
+    out: Numerators = {}
+    for scale, (numerators, d) in terms:
+        scale *= denominator // d
+        for key, c in numerators.items():
+            out[key] = out.get(key, 0) + scale * c
+    return _lowest(out, denominator * divisor)
 
 
 def _mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for (parts_a, exp_a), ca in a.items():
-        for (parts_b, exp_b), cb in b.items():
+    (numerators_a, den_a), (numerators_b, den_b) = a, b
+    out: Numerators = {}
+    for (parts_a, exp_a), ca in numerators_a.items():
+        for (parts_b, exp_b), cb in numerators_b.items():
             key = (tuple(sorted(parts_a + parts_b)), exp_a + exp_b)
             out[key] = out.get(key, 0) + ca * cb
-    return {key: c for key, c in out.items() if c}
+    return _lowest(out, den_a * den_b)
 
 
 def _pair_series(n: int, kind: str) -> list[Poly]:
@@ -198,19 +215,24 @@ def _pair_series(n: int, kind: str) -> list[Poly]:
     degree-n term of prod_i F(u_i) over n factors sum to n, the two products
     have the same degree-n part.
     """
-    # x^2/(2 cosh x - 2) is the reciprocal of sum_k 2 u^k/(2k+2)!.
-    todd = [Fraction(1)]
+    # x^2/(2 cosh x - 2) is the reciprocal of sum_k 2 u^k/(2k+2)! = sigma(u)/M
+    # with M = (2n+2)! and integer sigma_k; its u^k coefficient is rho_k/M^k.
+    m = math.factorial(2 * n + 2)
+    sigma = [2 * m // math.factorial(2 * k + 2) for k in range(n + 1)]
+    rho = [1]
     for k in range(1, n + 1):
-        todd.append(-sum(Fraction(2, math.factorial(2 * j + 2)) * todd[k - j]
-                         for j in range(1, k + 1)))
+        rho.append(-sum(sigma[j] * rho[k - j] * m ** (j - 1) for j in range(1, k + 1)))
+    # Over M^n, the Todd coefficients and the cosh sums have integer numerators.
+    todd = [r * m ** (n - k) for k, r in enumerate(rho)]
     series: list[Poly] = []
     for k in range(n + 1):
-        cosh_part = -2 * sum(todd[j] / math.factorial(2 * (k - j)) for j in range(k + 1))
+        cosh_part = -2 * sum(todd[j] // math.factorial(2 * (k - j)) for j in range(k + 1))
         if kind == "genus":  # g = (1 + y^2) - 2 y cosh x
-            series.append({((), 0): todd[k], ((), 1): cosh_part, ((), 2): todd[k]})
+            terms = {((), 0): todd[k], ((), 1): cosh_part, ((), 2): todd[k]}
         else:  # g = t - 2 cosh x
-            series.append({((), 0): cosh_part, ((), 1): todd[k]})
-    power = {((), 0): Fraction(1)}
+            terms = {((), 0): cosh_part, ((), 1): todd[k]}
+        series.append(_lowest(terms, m ** n))
+    power: Poly = ({((), 0): 1}, 1)
     normalised = [power]
     for k in range(1, n + 1):
         normalised.append(_mul(series[k], power))
@@ -224,28 +246,24 @@ def _symbolic_coefficients(n: int, kind: str) -> tuple[tuple[str, tuple[tuple[in
     series = _pair_series(n, kind)
     # u d/du log F = sum_k d_k u^k, from k F_k = sum_{j=1..k} d_j F_{k-j}, and
     # Newton's identities p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
-    log_derivative: list[Poly] = [{}]
-    power_sums: list[Poly] = [{}]
+    log_derivative: list[Poly] = [({}, 1)]
+    power_sums: list[Poly] = [({}, 1)]
     for k in range(1, n + 1):
-        d_k = {key: k * c for key, c in series[k].items()}
-        p_k = {((k,), 0): Fraction((-1) ** (k - 1) * k)}
-        for j in range(1, k):
-            _add(d_k, _mul(log_derivative[j], series[k - j]), Fraction(-1))
-            _add(p_k, _mul({((j,), 0): Fraction(1)}, power_sums[k - j]), Fraction((-1) ** (j - 1)))
-        log_derivative.append(d_k)
-        power_sums.append(p_k)
+        log_derivative.append(_sum([(k, series[k])] + [
+            (-1, _mul(log_derivative[j], series[k - j])) for j in range(1, k)]))
+        power_sums.append(_sum([((-1) ** (k - 1) * k, ({((k,), 0): 1}, 1))] + [
+            ((-1) ** (j - 1), _mul(({((j,), 0): 1}, 1), power_sums[k - j])) for j in range(1, k)]))
     # The multiplicative sequence: m K_m = sum_{j=1..m} d_j p_j K_{m-j}.
     weighted = [_mul(d, p) for d, p in zip(log_derivative, power_sums)]
-    sequence: list[Poly] = [{((), 0): Fraction(1)}]
+    sequence: list[Poly] = [({((), 0): 1}, 1)]
     for m in range(1, n + 1):
-        k_m: Poly = {}
-        for j in range(1, m + 1):
-            _add(k_m, _mul(weighted[j], sequence[m - j]), Fraction(1, m))
-        sequence.append(k_m)
+        sequence.append(_sum([(1, _mul(weighted[j], sequence[m - j]))
+                              for j in range(1, m + 1)], divisor=m))
     # e_k -> (-1)^k c_{2k}: the signs of a degree-n monomial multiply to (-1)^n.
+    numerators, denominator = sequence[n]
     by_partition: dict[tuple[int, ...], dict[int, Fraction]] = collections.defaultdict(dict)
-    for (partition, exponent), c in sequence[n].items():
-        by_partition[partition][exponent] = (-1) ** n * c
+    for (partition, exponent), c in numerators.items():
+        by_partition[partition][exponent] = Fraction((-1) ** n * c, denominator)
     return tuple((key, tuple(sorted(by_partition[partition].items())))
                  for key, partition in chern_basis(n))
 
@@ -268,12 +286,14 @@ def supertrace_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
 
 
 def _evaluate(coefficients: dict[str, dict[int, Fraction]], data: ChernData) -> LaurentPolynomial:
-    total: dict[int, Fraction] = {}
+    denominator = math.lcm(*(c.denominator for poly in coefficients.values()
+                             for c in poly.values()))
+    total: dict[int, int] = {}
     for key, poly in coefficients.items():
         value = data.value(key)
         for e, c in poly.items():
-            total[e] = total.get(e, 0) + value * c
-    bad = {e: c for e, c in total.items() if c.denominator != 1}
+            total[e] = total.get(e, 0) + value * c.numerator * (denominator // c.denominator)
+    bad = {e: Fraction(c, denominator) for e, c in total.items() if c % denominator}
     if bad:
         # 1.5 * SHORT keeps the lists that small data give whole, and the
         # error line under 200 characters for any data the digit limit admits.
@@ -281,7 +301,7 @@ def _evaluate(coefficients: dict[str, dict[int, Fraction]], data: ChernData) -> 
         raise InputError(
             "non-integral genus coefficients (inconsistent Chern data?): "
             + shorten(listed, 3 * SHORT // 2))
-    return LaurentPolynomial({e: int(c) for e, c in total.items() if c})
+    return LaurentPolynomial({e: c // denominator for e, c in total.items() if c})
 
 
 def chi_minus_y_from_chern(n: int, data: ChernData) -> LaurentPolynomial:

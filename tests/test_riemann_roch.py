@@ -1,5 +1,8 @@
 """Unit tests for the symbolic Riemann-Roch pipeline."""
 
+import collections
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -42,6 +45,65 @@ GOLDEN_TRACE = {
 }
 
 
+# The n = 3, 4 tables of the multiplicative sequence as computed with Fraction
+# arithmetic throughout, pinned the same way; n = 5..8 by a digest of their repr.
+F = Fraction
+GOLDEN_SYMBOLIC = {
+    (3, "genus"): (
+        ("c2^3", ((0, F(1, 6048)), (1, F(-1, 1008)), (2, F(5, 2016)), (3, F(-5, 1512)),
+            (4, F(5, 2016)), (5, F(-1, 1008)), (6, F(1, 6048)))),
+        ("c2c4", ((0, F(-1, 6720)), (1, F(17, 3360)), (2, F(-127, 6720)), (3, F(47, 1680)),
+            (4, F(-127, 6720)), (5, F(17, 3360)), (6, F(-1, 6720)))),
+        ("c6", ((0, F(1, 30240)), (1, F(41, 5040)), (2, F(2189, 10080)), (3, F(4153, 7560)),
+            (4, F(2189, 10080)), (5, F(41, 5040)), (6, F(1, 30240)))),
+    ),
+    (3, "trace"): (
+        ("c2^3", ((0, F(-1, 756)), (1, F(1, 504)), (2, F(-1, 1008)), (3, F(1, 6048)))),
+        ("c2c4", ((0, F(1, 56)), (1, F(-31, 1680)), (2, F(17, 3360)), (3, F(-1, 6720)))),
+        ("c6", ((0, F(403, 756)), (1, F(547, 2520)), (2, F(41, 5040)), (3, F(1, 30240)))),
+    ),
+    (4, "genus"): (
+        ("c2^4", ((0, F(1, 172800)), (1, F(-1, 21600)), (2, F(7, 43200)), (3, F(-7, 21600)),
+            (4, F(7, 17280)), (5, F(-7, 21600)), (6, F(7, 43200)), (7, F(-1, 21600)),
+            (8, F(1, 172800)))),
+        ("c2^2c4", ((0, F(-17, 1814400)), (1, F(109, 453600)), (2, F(-569, 453600)),
+            (3, F(1363, 453600)), (4, F(-719, 181440)), (5, F(1363, 453600)),
+            (6, F(-569, 453600)), (7, F(109, 453600)), (8, F(-17, 1814400)))),
+        ("c2c6", ((0, F(13, 3628800)), (1, F(227, 453600)), (2, F(991, 907200)),
+            (3, F(-4051, 453600)), (4, F(5323, 362880)), (5, F(-4051, 453600)),
+            (6, F(991, 907200)), (7, F(227, 453600)), (8, F(13, 3628800)))),
+        ("c4^2", ((0, F(1, 725760)), (1, F(-31, 90720)), (2, F(367, 181440)),
+            (3, F(-457, 90720)), (4, F(487, 72576)), (5, F(-457, 90720)), (6, F(367, 181440)),
+            (7, F(-31, 90720)), (8, F(1, 725760)))),
+        ("c8", ((0, F(-1, 1209600)), (1, F(31, 151200)), (2, F(7193, 302400)),
+            (3, F(35737, 151200)), (4, F(57977, 120960)), (5, F(35737, 151200)),
+            (6, F(7193, 302400)), (7, F(31, 151200)), (8, F(-1, 1209600)))),
+    ),
+    (4, "trace"): (
+        ("c2^4", ((0, F(1, 10800)), (1, F(-1, 5400)), (2, F(1, 7200)), (3, F(-1, 21600)),
+            (4, F(1, 172800)))),
+        ("c2^2c4", ((0, F(-167, 113400)), (1, F(37, 16200)), (2, F(-23, 18900)),
+            (3, F(109, 453600)), (4, F(-17, 1814400)))),
+        ("c2c6", ((0, F(2833, 226800)), (1, F(-169, 16200)), (2, F(163, 151200)),
+            (3, F(227, 453600)), (4, F(13, 3628800)))),
+        ("c4^2", ((0, F(121, 45360)), (1, F(-13, 3240)), (2, F(61, 30240)),
+            (3, F(-31, 90720)), (4, F(1, 725760)))),
+        ("c8", ((0, F(32639, 75600)), (1, F(1273, 5400)), (2, F(1199, 50400)),
+            (3, F(31, 151200)), (4, F(-1, 1209600)))),
+    ),
+}
+GOLDEN_SYMBOLIC_SHA256 = {
+    (5, "genus"): "0e0d8e70409af548db4fec7550bf3fd0d284253fb20759e218063f5f80a871d7",
+    (5, "trace"): "f206d83d86ca60858e5d6a2af7adfeb39675ab7c28c216716585376aa7f13680",
+    (6, "genus"): "0efd881cec7ae5e9797f283e3f38939fa4349573a3e438986715ce5c92f1f2d3",
+    (6, "trace"): "3e0a1c1e183105e4b1de3a91cda3229ea9510c589757096122787aa2dc85b06a",
+    (7, "genus"): "0a562c910ea82cd89e0d062fc14581bf81851c01434b17606c78db1413ca5dd6",
+    (7, "trace"): "331fa4385e5a39f4e8cf8c7db4e1600d820c724d320cc469ebcbb2d49ee774e9",
+    (8, "genus"): "3e13d019bba6926683d51bb8d1dcb532a9b6c1be3a34e661f88a7bb7e6c6571b",
+    (8, "trace"): "c1f04e938d581082e4a069a1d8f77e3c048f2f01c2da77c0557df7baf26ea067",
+}
+
+
 def _exact_items(table):
     # Key order and value types, which == on dicts ignores.
     return [(key, type(c), e, c) for key, poly in table.items() for e, c in poly.items()]
@@ -53,6 +115,38 @@ def test_coefficient_tables_match_golden(n):
                       (supertrace_chern_coefficients(n), GOLDEN_TRACE[n])):
         assert got == want
         assert _exact_items(got) == _exact_items(want)
+
+
+@pytest.mark.parametrize("n, kind", sorted(GOLDEN_SYMBOLIC))
+def test_symbolic_coefficients_match_golden(n, kind):
+    got = _symbolic_coefficients(n, kind)
+    assert got == GOLDEN_SYMBOLIC[n, kind]
+    assert all(type(c) is Fraction for _, poly in got for _, c in poly)
+
+
+@pytest.mark.parametrize("n, kind", sorted(GOLDEN_SYMBOLIC_SHA256))
+def test_symbolic_coefficients_match_digest(n, kind):
+    digest = hashlib.sha256(repr(_symbolic_coefficients(n, kind)).encode()).hexdigest()
+    assert digest == GOLDEN_SYMBOLIC_SHA256[n, kind]
+
+
+def test_genus_and_trace_integrands_agree_per_monomial():
+    # Per Chern monomial, the chi_{-y} coefficients are palindromic of degree
+    # 2n, and y^n * sum_k a_k (y + 1/y)^k over the S(t) coefficients a_k gives
+    # them back: the substitution bridge holds before any Chern data enter.
+    for n in range(1, 9):
+        genus = _symbolic_coefficients(n, "genus")
+        trace = _symbolic_coefficients(n, "trace")
+        assert [key for key, _ in genus] == [key for key, _ in trace]
+        for (key, g), (_, a) in zip(genus, trace):
+            g = dict(g)
+            assert set(g) <= set(range(2 * n + 1)), key
+            assert all(g.get(e, 0) == g.get(2 * n - e, 0) for e in g), key
+            substituted = collections.Counter()
+            for k, a_k in a:
+                for i in range(k + 1):
+                    substituted[n + k - 2 * i] += a_k * math.comb(k, i)
+            assert {e: c for e, c in substituted.items() if c} == g, key
 
 
 def test_chern_basis_follows_the_partitions():
@@ -189,14 +283,27 @@ def test_non_integral_result_rejected():
 def test_monomial_key_validation():
     assert parse_monomial_key("c2^2") == (2, 2)
     assert parse_monomial_key("C4") == (4,)
-    with pytest.raises(InputError):
-        parse_monomial_key("c3")  # odd classes vanish
-    with pytest.raises(InputError):
-        parse_monomial_key("c2^0")
-    with pytest.raises(InputError):
-        parse_monomial_key("x2")
+    # Odd classes vanish; a mixed key fails on its first bad factor.
+    for key, text in (("x2", "malformed Chern monomial key 'x2'"),
+                      ("c3", "only even Chern classes c2, c4, ... appear for paired roots; "
+                             "got 'c3'"),
+                      ("c2^0", "monomial power must be positive in 'c2^0'"),
+                      ("c2c", "malformed Chern monomial key 'c2c'"),
+                      ("c2c3", "only even Chern classes c2, c4, ... appear for paired roots; "
+                               "got 'c2c3'"),
+                      ("c2^0c4", "monomial power must be positive in 'c2^0c4'")):
+        with pytest.raises(InputError) as error:
+            parse_monomial_key(key)
+        assert str(error.value) == text
     with pytest.raises(InputError):
         ChernData(1, {"c2^2": 1})  # degree 4 monomial in degree 2 data
+    # A mixed key is read, so at n = 2 it fails on its degree.
+    with pytest.raises(InputError) as error:
+        ChernData(2, {"c2c4": 1})
+    assert str(error.value) == "monomial 'c2c4' has degree 6, expected 4"
+    # Keys are matched in the basis spelling.
+    with pytest.raises(InputError, match="^unknown Chern monomial 'c2c2' for n = 2$"):
+        ChernData(2, {"c2c2": 1})
     with pytest.raises(InputError):
         ChernData(1, {"c2": 1.5})
 
@@ -239,3 +346,16 @@ def test_keys_normalising_to_one_monomial_rejected():
 def test_non_string_key_rejected():
     with pytest.raises(InputError, match="must be strings"):
         ChernData(1, {1: 24})
+
+
+@pytest.mark.parametrize("values", [[1, 2], None, "c2", 24])
+def test_chern_numbers_must_be_a_mapping(values):
+    with pytest.raises(InputError, match="^Chern numbers must map monomial keys to integers$"):
+        ChernData(1, values)
+
+
+def test_mixed_monomial_keys_round_trip_the_basis():
+    for n in range(1, 9):
+        for key, partition in chern_basis(n):
+            assert parse_monomial_key(key) == tuple(2 * k for k in partition)
+    assert parse_monomial_key(" C2^2C4 ") == (2, 2, 4)

@@ -25,14 +25,13 @@ substituting t = (1+y^2)/y and multiplying by y^n carries one into the other
 exactly.
 
 Todd coefficients such as 1/12 are not integers, so every intermediate
-polynomial is kept as integer numerators over one positive denominator, in
-lowest terms; Fractions appear only in the returned coefficient tables.  An
-integrality check guards the boundary, since every genus value is an integer
-and a non-integral result means inconsistent Chern data or a pipeline bug.
+polynomial is integer numerators over one positive denominator in lowest
+terms; Fractions appear only in the returned tables.  An integrality check
+guards the boundary, since every genus value is an integer and a non-integral
+result means inconsistent Chern data or a pipeline bug.
 
-The construction works for every n, and ``parse_monomial_key`` reads the
-mixed keys (c2c4, c2^2c4) that appear from n = 3 on.  The public functions
-still stop at n = 2.
+The construction and ``parse_monomial_key`` work for every n (mixed keys such
+as c2c4 appear from n = 3 on); the public functions stop at n = 2.
 """
 
 from __future__ import annotations
@@ -46,21 +45,18 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import SHORT, parse_int, read_json, shorten
+from .boundary import SHORT, describe_int, parse_int, read_json, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
-# A polynomial in e_1, e_2, ... and one formal variable (y or t): integer
-# numerators (parts, exponent) -> c over one positive denominator, in lowest
-# terms; parts lists the k of each factor e_k in ascending order, and ()
-# marks a term free of the e_k.
+# A polynomial in e_1, e_2, ... and y or t: numerators (parts, exponent) -> int
+# over one positive denominator, in lowest terms; parts are the k of each e_k.
 Numerators = dict[tuple[tuple[int, ...], int], int]
 Poly = tuple[Numerators, int]
 
 # Values of n the public functions accept.
 _SUPPORTED_N = [1, 2]
 
-_KEY_RE = re.compile(r"(?:c\d+(?:\^\d+)?)+")
 _FACTOR_RE = re.compile(r"c(\d+)(?:\^(\d+))?")
 
 
@@ -100,23 +96,35 @@ def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(basis)
 
 
-def parse_monomial_key(key: str) -> tuple[int, ...]:
-    """Parse a Chern monomial key like "c2^2c4" into its class parts (2, 2, 4)."""
+def parse_monomial_key(key: str, degree: int | None = None) -> tuple[int, ...]:
+    """Parse a Chern monomial key like "c2^2c4" into its class parts (2, 2, 4).
+
+    Given ``degree``, refuse a key of another degree, reading no factor past it.
+    """
     text = key.strip().lower()
-    if not _KEY_RE.fullmatch(text):
-        raise InputError(f"malformed Chern monomial key {shorten(repr(key))}")
-    parts: tuple[int, ...] = ()
-    for m in _FACTOR_RE.finditer(text):
+    parts: list[int] = []
+    total = position = 0
+    while position < len(text) or not parts:
+        m = _FACTOR_RE.match(text, position)
+        if not m:
+            raise InputError(f"malformed Chern monomial key {shorten(repr(key))}")
+        position = m.end()
         index = parse_int(m.group(1), "Chern class index")
         power = parse_int(m.group(2), "monomial power") if m.group(2) else 1
         if index % 2 != 0 or index < 2:
-            raise InputError(
-                "only even Chern classes c2, c4, ... appear for paired roots; "
-                f"got {shorten(repr(key))}")
+            raise InputError("only even Chern classes c2, c4, ... appear for paired roots; "
+                             f"got {shorten(repr(key))}")
         if power < 1:
             raise InputError(f"monomial power must be positive in {shorten(repr(key))}")
-        parts += (index,) * power
-    return parts
+        total += index * power
+        if degree is not None and total > degree:
+            break
+        parts += [index] * power
+    if degree is not None and total != degree:
+        at_least = "at least " if position < len(text) else ""
+        raise InputError(f"monomial {shorten(repr(key))} has degree "
+                         f"{at_least}{describe_int(total)}, expected {degree}")
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -137,11 +145,7 @@ class ChernData:
                 raise InputError(
                     f"Chern monomial keys must be strings, got {shorten(repr(raw_key))}")
             key = raw_key.strip().lower().replace(" ", "")
-            parts = parse_monomial_key(key)
-            if sum(parts) != 2 * self.n:
-                raise InputError(
-                    f"monomial {shorten(repr(key))} has degree {sum(parts)}, "
-                    f"expected {2 * self.n}")
+            parse_monomial_key(key, 2 * self.n)
             if key not in basis_keys:
                 raise InputError(f"unknown Chern monomial {shorten(repr(key))} for n = {self.n}")
             if key in cleaned:
@@ -197,13 +201,12 @@ def _sum(terms: list[tuple[int, Poly]], divisor: int = 1) -> Poly:
 
 
 def _mul(a: Poly, b: Poly) -> Poly:
-    (numerators_a, den_a), (numerators_b, den_b) = a, b
     out: Numerators = {}
-    for (parts_a, exp_a), ca in numerators_a.items():
-        for (parts_b, exp_b), cb in numerators_b.items():
+    for (parts_a, exp_a), ca in a[0].items():
+        for (parts_b, exp_b), cb in b[0].items():
             key = (tuple(sorted(parts_a + parts_b)), exp_a + exp_b)
             out[key] = out.get(key, 0) + ca * cb
-    return _lowest(out, den_a * den_b)
+    return _lowest(out, a[1] * b[1])
 
 
 def _pair_series(n: int, kind: str) -> list[Poly]:
@@ -215,15 +218,13 @@ def _pair_series(n: int, kind: str) -> list[Poly]:
     degree-n term of prod_i F(u_i) over n factors sum to n, the two products
     have the same degree-n part.
     """
-    # x^2/(2 cosh x - 2) is the reciprocal of sum_k 2 u^k/(2k+2)! = sigma(u)/M
-    # with M = (2n+2)! and integer sigma_k; its u^k coefficient is rho_k/M^k.
+    # x^2/(2 cosh x - 2) is the reciprocal of sum_k 2 u^k/(2k+2)!; over M^n with
+    # M = (2n+2)!, its coefficients and the cosh sums have integer numerators.
     m = math.factorial(2 * n + 2)
-    sigma = [2 * m // math.factorial(2 * k + 2) for k in range(n + 1)]
-    rho = [1]
+    todd = [m ** n]
     for k in range(1, n + 1):
-        rho.append(-sum(sigma[j] * rho[k - j] * m ** (j - 1) for j in range(1, k + 1)))
-    # Over M^n, the Todd coefficients and the cosh sums have integer numerators.
-    todd = [r * m ** (n - k) for k, r in enumerate(rho)]
+        todd.append(-sum(2 * m // math.factorial(2 * j + 2) * todd[k - j]
+                         for j in range(1, k + 1)) // m)
     series: list[Poly] = []
     for k in range(n + 1):
         cosh_part = -2 * sum(todd[j] // math.factorial(2 * (k - j)) for j in range(k + 1))
@@ -286,14 +287,13 @@ def supertrace_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
 
 
 def _evaluate(coefficients: dict[str, dict[int, Fraction]], data: ChernData) -> LaurentPolynomial:
-    denominator = math.lcm(*(c.denominator for poly in coefficients.values()
-                             for c in poly.values()))
+    den = math.lcm(*(c.denominator for poly in coefficients.values() for c in poly.values()))
     total: dict[int, int] = {}
     for key, poly in coefficients.items():
         value = data.value(key)
         for e, c in poly.items():
-            total[e] = total.get(e, 0) + value * c.numerator * (denominator // c.denominator)
-    bad = {e: Fraction(c, denominator) for e, c in total.items() if c % denominator}
+            total[e] = total.get(e, 0) + value * c.numerator * (den // c.denominator)
+    bad = {e: Fraction(c, den) for e, c in total.items() if c % den}
     if bad:
         # 1.5 * SHORT keeps the lists that small data give whole, and the
         # error line under 200 characters for any data the digit limit admits.
@@ -301,7 +301,7 @@ def _evaluate(coefficients: dict[str, dict[int, Fraction]], data: ChernData) -> 
         raise InputError(
             "non-integral genus coefficients (inconsistent Chern data?): "
             + shorten(listed, 3 * SHORT // 2))
-    return LaurentPolynomial({e: c // denominator for e, c in total.items() if c})
+    return LaurentPolynomial({e: c // den for e, c in total.items() if c})
 
 
 def chi_minus_y_from_chern(n: int, data: ChernData) -> LaurentPolynomial:

@@ -278,6 +278,27 @@ def test_hostile_file_ends_in_one_short_error_line(tmp_path, kind):
     assert_refused_briefly(completed)
 
 
+# Chern keys whose length or power is far past the degree: the key parser
+# stops at the first factor past degree 2n, so neither costs more than a few.
+CHERN_KEYS = {
+    "many-factors": ("c2" * 10**6, "has degree at least 4, expected 2"),
+    "big-power": ("c2^8000000", "has degree 16000000, expected 2"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHERN_KEYS))
+def test_hostile_chern_key_ends_in_one_short_error_line(tmp_path, kind):
+    key, text = CHERN_KEYS[kind]
+    path = tmp_path / f"{kind}.hodge.json"
+    path.write_text(json.dumps({"name": "K3", "n": 1, "hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]],
+                                "chern": {key: 24}}), encoding="utf-8")
+    completed = subprocess.run(
+        [sys.executable, "-m", "hkgenus", "verify", "--input", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert_refused_briefly(completed)
+    assert completed.stderr.rstrip().endswith(text)
+
+
 def test_matrix_bigint_ends_in_one_short_error_line():
     completed = subprocess.run(
         [sys.executable, "-m", "hkgenus", "rw", "--manifold", "K3", f"--matrix={BIG},0;0,1"],

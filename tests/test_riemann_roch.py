@@ -354,6 +354,21 @@ def test_chern_numbers_must_be_a_mapping(values):
         ChernData(1, values)
 
 
+def test_key_degree_is_checked_factor_by_factor():
+    # Reading stops at the first factor past the degree, so a key of a million
+    # factors or with a huge power is refused after a few factors.
+    for key, text in (("c2" * 10**6, "has degree at least 4, expected 2"),
+                      ("c2^1000000000", "has degree 2000000000, expected 2"),
+                      ("c2^" + "9" * 4000, "has degree an integer of 13289 bits, expected 2"),
+                      ("c2c2c2x", "has degree at least 4, expected 2")):
+        with pytest.raises(InputError) as error:
+            ChernData(1, {key: 24})
+        assert str(error.value).endswith(text) and len(str(error.value)) < 200
+    assert parse_monomial_key("c2c4", 6) == (2, 4)
+    with pytest.raises(InputError, match="^monomial 'c2' has degree 2, expected 4$"):
+        parse_monomial_key("c2", 4)
+
+
 def test_mixed_monomial_keys_round_trip_the_basis():
     for n in range(1, 9):
         for key, partition in chern_basis(n):

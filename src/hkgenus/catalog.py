@@ -154,17 +154,19 @@ def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]
     expansion is deterministic; ``goettsche_expand.cache_info`` and
     ``cache_clear`` reach the cache.
     """
+    # Checked before the cache lookup, where True and 1 would share a key.
+    if base.n != 1:
+        raise InputError(f"base must be a surface (3x3 table), got n = {base.n}")
+    if (isinstance(n_max, bool) or not isinstance(n_max, int)
+            or not 1 <= n_max <= MAX_HILBERT_POINTS):
+        raise InputError(
+            f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {shorten(repr(n_max))}")
     return _goettsche_expand(base, n_max, base.name)
 
 
 @functools.lru_cache(maxsize=None)
 def _goettsche_expand(base: HodgeDiamond, n_max: int, name: str | None) -> tuple[HodgeDiamond, ...]:
     # ``name`` is part of the key because diamond equality ignores names.
-    if base.n != 1:
-        raise InputError(f"base must be a surface (3x3 table), got n = {base.n}")
-    if not 1 <= n_max <= MAX_HILBERT_POINTS:
-        raise InputError(
-            f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {n_max}")
     diamonds = []
     for m, rows in enumerate(_goettsche_tables(base, n_max), start=1):
         diamond = HodgeDiamond(rows, name=f"{name or 'surface'}[{m}]")

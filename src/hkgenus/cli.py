@@ -42,12 +42,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(shorten(message, 2 * SHORT))
 
 
-def _add_manifold_args(parser, required=True):
+def _add_manifold_args(parser):
     parser.add_argument("--manifold", metavar="NAME",
                         help="built-in manifold name (see the catalog subcommand)")
     parser.add_argument("--input", metavar="PATH",
                         help="path to a .hodge.json manifold file")
-    parser.set_defaults(_manifold_required=required)
 
 
 def _add_common_args(parser):
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
 
     p = sub.add_parser("verify", help="check S(y+1/y) = chi_{-y}/y^n exactly")
-    _add_manifold_args(p, required=False)
+    _add_manifold_args(p)
     p.add_argument("--all-builtin", action="store_true",
                    help="verify every catalog entry in order")
     _add_common_args(p)
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=int, metavar="INT", help="c2 (n=1)")
     p.add_argument("--c2sq", type=int, metavar="INT", help="c2^2 (n=2)")
     p.add_argument("--c4", type=int, metavar="INT", help="c4 (n=2)")
-    _add_manifold_args(p, required=False)
+    _add_manifold_args(p)
     _add_common_args(p)
 
     p = sub.add_parser("catalog", help="list built-in manifolds")
@@ -101,10 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_manifold(args, required=None):
-    required = args._manifold_required if required is None else required
-    manifold = getattr(args, "manifold", None)
-    path = getattr(args, "input", None)
+def _resolve_manifold(args, required=True):
+    manifold, path = args.manifold, args.input
     if manifold and path:
         raise InputError("exactly one manifold source: use --manifold or --input, not both")
     level = ValidationLevel.STRICT if args.strict else ValidationLevel.STRUCTURAL
@@ -162,7 +159,7 @@ def _cmd_verify(args):
             raise InputError("--all-builtin does not take a manifold source")
         records = [catalog_mod.builtin(name) for name in catalog_mod.builtin_names()]
     else:
-        records = [_resolve_manifold(args, required=True)]
+        records = [_resolve_manifold(args)]
     results = []
     for record in records:
         if args.strict:

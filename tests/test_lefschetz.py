@@ -81,6 +81,18 @@ def test_primitive_table_rejects_negative_entries():
         PrimitiveTable(1, ((1, 0, 1), (0, -1, 0)))
 
 
+@pytest.mark.parametrize("n, message", [
+    (True, "n must be an integer, got True"),
+    ("1", "n must be an integer, got '1'"),
+    (1.0, "n must be an integer, got 1.0"),
+    (0, "n must be positive, got 0"),
+])
+def test_primitive_table_refuses_a_non_int_n(n, message):
+    with pytest.raises(InputError) as info:
+        PrimitiveTable(n, ((1, 0, 1), (0, 0, 0)))
+    assert str(info.value) == message
+
+
 class Count(int):
     pass
 

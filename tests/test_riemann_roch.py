@@ -281,8 +281,8 @@ def test_non_integral_result_rejected():
 
 
 def test_monomial_key_validation():
-    assert parse_monomial_key("c2^2") == (2, 2)
-    assert parse_monomial_key("C4") == (4,)
+    assert parse_monomial_key("c2^2", 4) == (2, 2)
+    assert parse_monomial_key("C4", 4) == (4,)
     # Odd classes vanish; a mixed key fails on its first bad factor.
     for key, text in (("x2", "malformed Chern monomial key 'x2'"),
                       ("c3", "only even Chern classes c2, c4, ... appear for paired roots; "
@@ -293,7 +293,7 @@ def test_monomial_key_validation():
                                "got 'c2c3'"),
                       ("c2^0c4", "monomial power must be positive in 'c2^0c4'")):
         with pytest.raises(InputError) as error:
-            parse_monomial_key(key)
+            parse_monomial_key(key, 8)
         assert str(error.value) == text
     with pytest.raises(InputError):
         ChernData(1, {"c2^2": 1})  # degree 4 monomial in degree 2 data
@@ -372,5 +372,5 @@ def test_key_degree_is_checked_factor_by_factor():
 def test_mixed_monomial_keys_round_trip_the_basis():
     for n in range(1, 9):
         for key, partition in chern_basis(n):
-            assert parse_monomial_key(key) == tuple(2 * k for k in partition)
-    assert parse_monomial_key(" C2^2C4 ") == (2, 2, 4)
+            assert parse_monomial_key(key, 2 * n) == tuple(2 * k for k in partition)
+    assert parse_monomial_key(" C2^2C4 ", 8) == (2, 2, 4)

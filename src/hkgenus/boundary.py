@@ -1,7 +1,9 @@
-"""The input boundary: JSON files and integers that come from outside.
+"""The input boundary: values that come from outside, and the rules for them.
 
-Every failure to decode such input ends as an ``InputError`` whose message
-quotes at most ``SHORT`` characters of the offending value.  The limits:
+``is_int`` says what counts as an integer, ``quote`` how a caller's value
+enters an error message (an int past ``3 * SHORT`` bits by its size, anything
+else by its ``repr`` cut by ``shorten``), ``write_json`` how JSON is written.
+The limits on what comes in:
 
 * a JSON file holds at most ``MAX_INPUT_CHARS`` characters of UTF-8 text;
 * an integer has at most as many decimal digits as the interpreter converts
@@ -31,11 +33,19 @@ def shorten(text: str, limit: int = SHORT) -> str:
     return f"{text[:limit]}... ({len(text)} characters)"
 
 
-def describe_int(value: int) -> str:
-    """``str(value)`` for an integer that fits in a short message, else its size."""
-    if value.bit_length() <= 3 * SHORT:
-        return str(value)
-    return f"an integer of {value.bit_length()} bits"
+def is_int(value) -> bool:
+    """Whether ``value`` is an exact ``int``; bool is an int subclass, but True is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def quote(value) -> str:
+    """A caller's value as an error message shows it, in at most a short line."""
+    if is_int(value) and value.bit_length() > 3 * SHORT:  # else its repr fits
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        return shorten(repr(value))
+    except Exception:  # repr itself can fail: on a list of too long ints, say
+        return shorten(f"a value of type {type(value).__name__}")
 
 
 def digit_limit() -> int:
@@ -59,28 +69,35 @@ def parse_int(text: str, what: str) -> int:
         if digits.isdigit() and limit and len(digits) > limit:
             raise InputError(
                 f"{what} has {len(digits)} digits; at most {limit} are accepted") from None
-        raise InputError(f"{what} {shorten(repr(text))} is not an integer") from None
+        raise InputError(f"{what} {quote(text)} is not an integer") from None
 
 
 def read_json(path):
     """Read and decode one JSON document from a UTF-8 file."""
+    where = shorten(str(path))
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read(MAX_INPUT_CHARS + 1)
         except UnicodeDecodeError:
-            raise InputError(f"{path}: not UTF-8 text") from None
+            raise InputError(f"{where}: not UTF-8 text") from None
     if len(text) > MAX_INPUT_CHARS:
-        raise InputError(f"{path}: more than {MAX_INPUT_CHARS} characters")
+        raise InputError(f"{where}: more than {MAX_INPUT_CHARS} characters")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{where}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except ValueError:
         # The only other ValueError json raises: an integer literal past the
         # interpreter's str-to-int digit limit.
         raise InputError(
-            f"{path}: an integer has more than {digit_limit()} digits") from None
+            f"{where}: an integer has more than {digit_limit()} digits") from None
     except RecursionError:
-        raise InputError(f"{path}: arrays or objects nested too deeply") from None
+        raise InputError(f"{where}: arrays or objects nested too deeply") from None
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as canonical JSON: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

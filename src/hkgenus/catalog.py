@@ -30,12 +30,11 @@ are read through ``boundary.read_json``, which states the size limits.
 from __future__ import annotations
 
 import functools
-import json
 import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boundary import read_json, shorten
+from .boundary import is_int, quote, read_json, write_json
 from .errors import InputError, InternalInconsistencyError, UnknownManifoldError
 from .hodge import HodgeDiamond, ValidationLevel
 from .riemann_roch import ChernData
@@ -157,10 +156,8 @@ def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]
     # Checked before the cache lookup, where True and 1 would share a key.
     if base.n != 1:
         raise InputError(f"base must be a surface (3x3 table), got n = {base.n}")
-    if (isinstance(n_max, bool) or not isinstance(n_max, int)
-            or not 1 <= n_max <= MAX_HILBERT_POINTS):
-        raise InputError(
-            f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {shorten(repr(n_max))}")
+    if not is_int(n_max) or not 1 <= n_max <= MAX_HILBERT_POINTS:
+        raise InputError(f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {quote(n_max)}")
     return _goettsche_expand(base, n_max, base.name)
 
 
@@ -237,7 +234,7 @@ def builtin(name: str) -> ManifoldRecord:
     records = _catalog()
     if name not in records:
         known = ", ".join(records)
-        raise UnknownManifoldError(f"unknown built-in {shorten(repr(name))}; known: {known}")
+        raise UnknownManifoldError(f"unknown built-in {quote(name)}; known: {known}")
     return records[name]
 
 
@@ -266,7 +263,7 @@ def record_from_json_dict(obj, level: ValidationLevel = ValidationLevel.STRUCTUR
     if not isinstance(name, str):
         raise InputError('"name" must be a string')
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputError('"n" must be a positive integer')
     hodge = obj["hodge"]
     if not isinstance(hodge, list) or not all(isinstance(r, list) for r in hodge):
@@ -274,7 +271,7 @@ def record_from_json_dict(obj, level: ValidationLevel = ValidationLevel.STRUCTUR
     diamond = HodgeDiamond(tuple(tuple(r) for r in hodge), name=name)
     if diamond.n != n:
         raise InputError(
-            f'"n" is {n} but the table side {diamond.side} implies n = {diamond.n}')
+            f'"n" is {quote(n)} but the table side {diamond.side} implies n = {diamond.n}')
     diamond.require_valid(level)
     chern = None
     if "chern" in obj and obj["chern"] is not None:
@@ -289,9 +286,7 @@ def record_from_json_dict(obj, level: ValidationLevel = ValidationLevel.STRUCTUR
 
 def save_manifold(record: ManifoldRecord, path) -> None:
     """Write the canonical serialization: sorted keys, two-space indent."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record_to_json_dict(record), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(record_to_json_dict(record), path)
 
 
 def load_manifold(path, level: ValidationLevel = ValidationLevel.STRUCTURAL) -> ManifoldRecord:

@@ -38,8 +38,9 @@ class NegativePrimitiveError(ValidationError):
     """
 
     def __init__(self, p, q, value):
+        from .boundary import quote  # boundary imports this module
         super().__init__(
-            f"negative primitive multiplicity {value} at (p, q) = ({p}, {q})"
+            f"negative primitive multiplicity {quote(value)} at (p, q) = ({p}, {q})"
         )
         self.p = p
         self.q = q

@@ -29,9 +29,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .boundary import shorten
+from .boundary import is_int, quote
 from .errors import DimensionMismatchError, ValidationError
 from .laurent import LaurentPolynomial
+
+MAX_LISTED = 20  # violations a failure message lists; it counts the rest
 
 
 class ValidationLevel(enum.Enum):
@@ -64,9 +66,15 @@ class ValidationReport:
     def summary(self) -> str:
         if self.ok:
             return f"pass ({self.level.value})"
-        lines = [f"fail ({self.level.value}), {len(self.violations)} violation(s):"]
-        lines.extend(f"  {v}" for v in self.violations)
-        return "\n".join(lines)
+        return (f"fail ({self.level.value}), {len(self.violations)} violation(s):\n"
+                + list_violations(self.violations))
+
+
+def list_violations(violations: tuple[Violation, ...]) -> str:
+    """One indented line per violation, up to ``MAX_LISTED``, then how many more."""
+    more = len(violations) - MAX_LISTED
+    lines = [f"  {v}" for v in violations[:MAX_LISTED]]
+    return "\n".join(lines + [f"  ... and {more} more"] * (more > 0))
 
 
 class ClassicalValues(NamedTuple):
@@ -109,10 +117,9 @@ class HodgeDiamond:
             if set(map(type, row)) == {int}:
                 continue  # exact ints need no closer look
             for q, value in enumerate(row):
-                if not isinstance(value, int) or isinstance(value, bool):
+                if not is_int(value):
                     raise DimensionMismatchError(
-                        f"entry ({p}, {q}) is not an integer: {shorten(repr(value))}"
-                    )
+                        f"entry ({p}, {q}) is not an integer: {quote(value)}")
 
     @property
     def n(self) -> int:
@@ -125,7 +132,7 @@ class HodgeDiamond:
 
     def entry(self, p: int, q: int) -> int:
         if not (0 <= p < self.side and 0 <= q < self.side):
-            raise IndexError(f"(p, q) = ({p}, {q}) outside 0..{self.side - 1}")
+            raise IndexError(f"(p, q) = ({quote(p)}, {quote(q)}) outside 0..{self.side - 1}")
         return self.rows[p][q]
 
     def with_name(self, name: str | None) -> "HodgeDiamond":
@@ -161,28 +168,17 @@ class HodgeDiamond:
         # transposes, and the two together imply Serre duality.
         if min(map(min, rows)) >= 0 and rows == rows[::-1] and rows == tuple(zip(*rows)):
             return ()
-        side = self.side
-        found: list[Violation] = []
-        for p in range(side):
-            for q in range(side):
-                if rows[p][q] < 0:
-                    found.append(Violation(
-                        "negative_entry", p, q,
-                        f"h^{{{p},{q}}} = {rows[p][q]} is negative"))
-        for p in range(side):
-            for q in range(side):
-                if rows[p][q] != rows[2 * n - p][2 * n - q]:
-                    found.append(Violation(
-                        "serre", p, q,
-                        f"h^{{{p},{q}}} = {rows[p][q]} != {rows[2*n-p][2*n-q]} = h^{{{2*n-p},{2*n-q}}}"))
-                if rows[p][q] != rows[q][p]:
-                    found.append(Violation(
-                        "conjugation", p, q,
-                        f"h^{{{p},{q}}} = {rows[p][q]} != {rows[q][p]} = h^{{{q},{p}}}"))
-                if rows[p][q] != rows[2 * n - p][q]:
-                    found.append(Violation(
-                        "column_symmetry", p, q,
-                        f"h^{{{p},{q}}} = {rows[p][q]} != {rows[2*n-p][q]} = h^{{{2*n-p},{q}}}"))
+        found = [Violation("negative_entry", p, q, f"h^{{{p},{q}}} = {quote(h)} is negative")
+                 for p, row in enumerate(rows) for q, h in enumerate(row) if h < 0]
+        for p, row in enumerate(rows):
+            for q, h in enumerate(row):
+                if h == rows[2 * n - p][2 * n - q] == rows[q][p] == rows[2 * n - p][q]:
+                    continue
+                for kind, r, s in (("serre", 2 * n - p, 2 * n - q), ("conjugation", q, p),
+                                   ("column_symmetry", 2 * n - p, q)):
+                    if h != rows[r][s]:
+                        found.append(Violation(kind, p, q, f"h^{{{p},{q}}} = {quote(h)} "
+                                               f"!= {quote(rows[r][s])} = h^{{{r},{s}}}"))
         return tuple(found)
 
     @cached_property
@@ -201,7 +197,7 @@ class HodgeDiamond:
     def _negative_primitives(self) -> tuple[Violation, ...]:
         return tuple(
             Violation("negative_primitive", p, q,
-                      f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {value} is negative")
+                      f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {quote(value)} is negative")
             for p, row in enumerate(self.primitive_rows) if min(row) < 0
             for q, value in enumerate(row) if value < 0)
 
@@ -216,7 +212,7 @@ class HodgeDiamond:
         if level is ValidationLevel.STRICT:
             found += tuple(
                 Violation("irreducibility", p, q,
-                          f"h^{{{p},{q}}} = {self.rows[p][q]}, irreducibility forces {want}")
+                          f"h^{{{p},{q}}} = {quote(self.rows[p][q])}, irreducibility forces {want}")
                 for (p, q, want) in ((0, 0, 1), (1, 0, 0), (2, 0, 1))
                 if self.rows[p][q] != want)
         return ValidationReport(level, found)

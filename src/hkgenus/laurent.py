@@ -19,13 +19,14 @@ import re
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
+from .boundary import is_int, quote
+
 Coefficients = Mapping[int, int]
 
 
 def _check_int(value) -> int:
-    # bool is an int subclass; reject it so True never masquerades as 1.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
+    if not is_int(value):
+        raise TypeError(f"expected an integer, got {quote(value)}")
     return value
 
 
@@ -106,7 +107,7 @@ class LaurentPolynomial:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
+        if is_int(other):
             other = LaurentPolynomial.constant(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -127,7 +128,7 @@ class LaurentPolynomial:
     def _coerce(value) -> "LaurentPolynomial":
         if isinstance(value, LaurentPolynomial):
             return value
-        if isinstance(value, int) and not isinstance(value, bool):
+        if is_int(value):
             return LaurentPolynomial.constant(value)
         return NotImplemented
 
@@ -267,7 +268,7 @@ class LaurentPolynomial:
         while pos < len(text):
             m = token.match(text, pos)
             if not m or m.end() == pos or (m.group(2) is None and m.group(3) is None):
-                raise ValueError(f"cannot parse {text!r} at position {pos}")
+                raise ValueError(f"cannot parse {quote(text)} at position {pos}")
             sign = -1 if m.group(1) == "-" else 1
             coeff = int(m.group(2)) if m.group(2) is not None else 1
             if m.group(3) is None:

@@ -43,14 +43,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .boundary import shorten
+from .boundary import is_int, quote
 from .errors import (
     InputError,
     InternalInconsistencyError,
     NegativePrimitiveError,
     ValidationError,
 )
-from .hodge import HodgeDiamond, ValidationLevel
+from .hodge import HodgeDiamond, ValidationLevel, list_violations
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 from .sl2 import SL2Element, character
 
@@ -83,12 +83,12 @@ class PrimitiveTable:
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise InputError(f"n must be an integer, got {shorten(repr(self.n))}")
+        if not is_int(self.n):
+            raise InputError(f"n must be an integer, got {quote(self.n)}")
         if self.n < 1:
-            raise InputError(f"n must be positive, got {self.n}")
+            raise InputError(f"n must be positive, got {quote(self.n)}")
         if len(rows) != self.n + 1:
-            raise InputError(f"expected {self.n + 1} rows, got {len(rows)}")
+            raise InputError(f"expected {quote(self.n + 1)} rows, got {len(rows)}")
         for p, row in enumerate(rows):
             if len(row) != 2 * self.n + 1:
                 raise InputError(
@@ -96,8 +96,8 @@ class PrimitiveTable:
             if set(map(type, row)) == {int} and min(row) >= 0:
                 continue  # exact nonnegative ints need no closer look
             for q, value in enumerate(row):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise InputError(f"entry ({p}, {q}) is not an integer: {value!r}")
+                if not is_int(value):
+                    raise InputError(f"entry ({p}, {q}) is not an integer: {quote(value)}")
                 if value < 0:
                     raise NegativePrimitiveError(p, q, value)
 
@@ -120,7 +120,7 @@ def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
     if symmetry:
         raise ValidationError(
             "primitive multiplicities need a symmetric, nonnegative table:\n"
-            + "\n".join(f"  {v}" for v in symmetry))
+            + list_violations(symmetry))
     table = getattr(d, _PRIMITIVE_TABLE, None)
     if table is None:
         table = PrimitiveTable(d.n, d.primitive_rows)

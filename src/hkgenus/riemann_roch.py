@@ -38,14 +38,13 @@ from __future__ import annotations
 
 import collections
 import functools
-import json
 import math
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import SHORT, describe_int, parse_int, read_json, shorten
+from .boundary import SHORT, is_int, parse_int, quote, read_json, shorten, write_json
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
@@ -61,11 +60,11 @@ _FACTOR_RE = re.compile(r"c(\d+)(?:\^(\d+))?")
 
 
 def _supported_n(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"n must be an integer, got {shorten(repr(n))}")
+    if not is_int(n):
+        raise InputError(f"n must be an integer, got {quote(n)}")
     if n not in _SUPPORTED_N:
         raise InputError(
-            f"unsupported n = {shorten(repr(n))}; Chern monomial bases are available for "
+            f"unsupported n = {quote(n)}; Chern monomial bases are available for "
             f"n in {_SUPPORTED_N}")
     return n
 
@@ -108,23 +107,23 @@ def parse_monomial_key(key: str, degree: int) -> tuple[int, ...]:
     while position < len(text) or not parts:
         m = _FACTOR_RE.match(text, position)
         if not m:
-            raise InputError(f"malformed Chern monomial key {shorten(repr(key))}")
+            raise InputError(f"malformed Chern monomial key {quote(key)}")
         position = m.end()
         index = parse_int(m.group(1), "Chern class index")
         power = parse_int(m.group(2), "monomial power") if m.group(2) else 1
         if index % 2 != 0 or index < 2:
             raise InputError("only even Chern classes c2, c4, ... appear for paired roots; "
-                             f"got {shorten(repr(key))}")
+                             f"got {quote(key)}")
         if power < 1:
-            raise InputError(f"monomial power must be positive in {shorten(repr(key))}")
+            raise InputError(f"monomial power must be positive in {quote(key)}")
         total += index * power
         if total > degree:
             break
         parts += [index] * power
     if total != degree:
         at_least = "at least " if position < len(text) else ""
-        raise InputError(f"monomial {shorten(repr(key))} has degree "
-                         f"{at_least}{describe_int(total)}, expected {degree}")
+        raise InputError(f"monomial {quote(key)} has degree "
+                         f"{at_least}{quote(total)}, expected {degree}")
     return tuple(parts)
 
 
@@ -144,21 +143,21 @@ class ChernData:
         for raw_key, value in dict(self.values).items():
             if not isinstance(raw_key, str):
                 raise InputError(
-                    f"Chern monomial keys must be strings, got {shorten(repr(raw_key))}")
+                    f"Chern monomial keys must be strings, got {quote(raw_key)}")
             key = raw_key.strip().lower().replace(" ", "")
             parse_monomial_key(key, 2 * self.n)
             if key not in basis_keys:
-                raise InputError(f"unknown Chern monomial {shorten(repr(key))} for n = {self.n}")
+                raise InputError(f"unknown Chern monomial {quote(key)} for n = {self.n}")
             if key in cleaned:
-                raise InputError(f"Chern monomial {key!r} is given more than once")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"Chern number for {key!r} must be an integer")
+                raise InputError(f"Chern monomial {quote(key)} is given more than once")
+            if not is_int(value):
+                raise InputError(f"Chern number for {quote(key)} must be an integer")
             cleaned[key] = value
         object.__setattr__(self, "values", cleaned)
 
     def value(self, key: str) -> int:
         if key not in self.values:
-            raise InputError(f"Chern monomial {key!r} missing from data for n = {self.n}")
+            raise InputError(f"Chern monomial {quote(key)} missing from data for n = {self.n}")
         return self.values[key]
 
     def to_json_dict(self) -> dict:
@@ -178,9 +177,7 @@ def load_chern_data(path) -> ChernData:
 
 
 def save_chern_data(data: ChernData, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(data.to_json_dict(), path)
 
 
 # -- the multiplicative sequence ---------------------------------------------

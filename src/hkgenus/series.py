@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Mapping
 
+from .boundary import is_int, quote
 from .errors import InputError
 
 Exponents = tuple[int, ...]
@@ -46,11 +47,11 @@ class TruncatedSeries:
         for exps, coeff in dict(terms).items():
             exps = tuple(exps)
             if len(exps) != len(variables):
-                raise ValueError(f"exponent tuple {exps} has wrong arity")
+                raise ValueError(f"exponent tuple {quote(exps)} has wrong arity")
             if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
-                raise TypeError(f"integer coefficient required, got {coeff!r}")
+                raise ValueError(f"negative exponent in {quote(exps)}")
+            if not is_int(coeff):
+                raise TypeError(f"integer coefficient required, got {quote(coeff)}")
             if coeff != 0 and all(e <= l for e, l in zip(exps, limits)):
                 cleaned[exps] = cleaned.get(exps, 0) + coeff
         cleaned = {e: c for e, c in cleaned.items() if c != 0}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .boundary import describe_int, parse_int, shorten
+from .boundary import is_int, parse_int, quote
 from .errors import InputError
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 
@@ -35,11 +35,12 @@ class SL2Element:
     def __post_init__(self):
         for field_name in ("a", "b", "c", "d"):
             value = getattr(self, field_name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"matrix entry {field_name} must be an integer, got {value!r}")
+            if not is_int(value):
+                raise InputError(
+                    f"matrix entry {field_name} must be an integer, got {quote(value)}")
         det = self.a * self.d - self.b * self.c
         if det != 1:
-            raise InputError(f"determinant must be 1, got {describe_int(det)}")
+            raise InputError(f"determinant must be 1, got {quote(det)}")
 
     @classmethod
     def identity(cls) -> "SL2Element":
@@ -51,13 +52,13 @@ class SL2Element:
         rows = text.strip().split(";")
         if len(rows) != 2:
             raise InputError(
-                f'matrix must have two rows "a,b;c,d", got {shorten(repr(text))}')
+                f'matrix must have two rows "a,b;c,d", got {quote(text)}')
         entries: list[int] = []
         for row in rows:
             parts = row.split(",")
             if len(parts) != 2:
                 raise InputError(
-                    f'each matrix row needs two entries, got {shorten(repr(row))}')
+                    f'each matrix row needs two entries, got {quote(row)}')
             entries.extend(parse_int(part.strip(), "matrix entry") for part in parts)
         return cls(*entries)
 
@@ -108,8 +109,8 @@ def character(r: int) -> LaurentPolynomial:
 
     t_r = 0 for r <= 0; for r >= 1 the degree of t_r is r - 1.
     """
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise InputError(f"representation dimension must be an integer, got {r!r}")
+    if not is_int(r):
+        raise InputError(f"representation dimension must be an integer, got {quote(r)}")
     if r <= 0:
         return LaurentPolynomial.zero()
     if r < len(_CHAR_TABLE):
@@ -127,8 +128,8 @@ def verify_character_identity(r: int) -> bool:
     The comparison happens at the Laurent-polynomial level after substituting
     t = y + 1/y, so it certifies the identity for every element at once.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise InputError(f"r must be a positive integer, got {r!r}")
+    if not is_int(r) or r < 1:
+        raise InputError(f"r must be a positive integer, got {quote(r)}")
     lhs = substitute_y_plus_yinv(character(r + 1) - character(r - 1))
     rhs = LaurentPolynomial({r: 1, -r: 1})
     return lhs == rhs

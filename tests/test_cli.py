@@ -260,6 +260,9 @@ BOUNDARY_INPUTS = {
     # Chern keys far past degree 2: the key parser stops after a few factors.
     "chern-many-factors": (K3_WITH_CHERN_KEY % ("c2" * 10**6)).encode(),
     "chern-big-power": (K3_WITH_CHERN_KEY % "c2^8000000").encode(),
+    # An "n" within the digit limit but far too long to quote whole.
+    "n-bigint": ('{"name": "K3", "n": %s, "hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]}'
+                 % ("7" * 4000)).encode(),
 }
 
 
@@ -313,3 +316,44 @@ def test_oversized_result_is_an_input_error_in_every_format(capsys, fmt):
     assert out == ""
     assert err.startswith("error: a result has more than") and err.count("\n") == 1
     assert len(err) <= 200
+
+
+def test_long_manifold_name_ends_in_one_short_error_line(tmp_path):
+    path = tmp_path / "long-name.hodge.json"
+    save_manifold(ManifoldRecord("x" * 100_000, builtin("K3").diamond), path)
+    completed = subprocess.run(
+        [sys.executable, "-m", "hkgenus", "rr", "--n", "2", "--c2sq", "828", "--c4", "324",
+         "--input", str(path)],
+        capture_output=True, text=True)
+    assert_refused_briefly(completed)
+    assert "has n = 1, Chern data has n = 2" in completed.stderr
+
+
+def asymmetric_rows(n):
+    """A (2n+1)-square table with 0 above the diagonal and 1 elsewhere."""
+    side = 2 * n + 1
+    return [[int(q <= p) for q in range(side)] for p in range(side)]
+
+
+def test_validation_failure_lists_a_bounded_number_of_violations(tmp_path, capsys):
+    path = tmp_path / "asymmetric.hodge.json"
+    path.write_text(json.dumps({"name": "asym", "n": 40, "hodge": asymmetric_rows(40)}))
+    code, out, err = run(capsys, "chi", "--input", str(path))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 22
+    assert lines[0] == "error: fail (structural), 16240 violation(s):"
+    assert lines[1] == "  [serre] at (p=0, q=1): h^{0,1} = 0 != 1 = h^{80,79}"
+    assert lines[-1] == "  ... and 16220 more"
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-json"])
+def test_long_path_ends_in_one_short_error_line(tmp_path, kind):
+    # A missing file of a 100000-character name, and a real file reached
+    # through a path of about 3800 characters.
+    (tmp_path / "asym.hodge.json").write_text("{")
+    tail = "x" * 100_000 if kind == "missing" else "./" * 1900 + "asym.hodge.json"
+    completed = subprocess.run(
+        [sys.executable, "-m", "hkgenus", "chi", "--input", f"{tmp_path}/{tail}"],
+        capture_output=True, text=True)
+    assert_refused_briefly(completed)

@@ -2,7 +2,9 @@
 
 Whatever bytes a manifold file holds and whatever arguments the CLI gets, the
 outcome is a result, an ``InputError`` (exit code 1 on the CLI), or an
-identity failure (exit code 2); never another exception or a traceback.
+identity failure (exit code 2); never another exception or a traceback.  An
+error message has lines of at most 200 characters, and a failed validation
+lists at most ``MAX_LISTED`` violations.
 """
 
 import contextlib
@@ -16,9 +18,13 @@ from hypothesis import strategies as st
 from hkgenus.catalog import ManifoldRecord, builtin_names, load_manifold
 from hkgenus.cli import main
 from hkgenus.errors import InputError
+from hkgenus.hodge import MAX_LISTED
 
 SMALL_INTS = st.integers(-3, 30)
 BIG_INTS = st.integers(-10**60, 10**60)
+HUGE_INTS = st.integers(-10**1000, 10**1000)
+# Names of up to a few thousand characters, too long to quote whole.
+NAMES = st.text(max_size=8) | st.text(min_size=1, max_size=8).map(lambda t: t * 400)
 JSON_SCALARS = (st.none() | st.booleans() | SMALL_INTS | BIG_INTS
                 | st.floats(allow_nan=False) | st.text(max_size=8))
 JSON_VALUES = st.recursive(
@@ -40,11 +46,13 @@ def manifold_objects(draw):
                  for p in range(side)]
         n = draw(st.just((side - 1) // 2) | SMALL_INTS)
     else:
-        entries = draw(st.sampled_from([SMALL_INTS, BIG_INTS, JSON_SCALARS]))
-        hodge = draw(st.lists(st.lists(entries, min_size=side - 1, max_size=side + 1),
-                              min_size=side - 1, max_size=side + 1))
-        n = draw(SMALL_INTS | JSON_SCALARS)
-    obj = {"name": draw(st.text(max_size=8)), "n": n, "hodge": hodge}
+        # Square now and then, so that the symmetry checks run on random entries.
+        entries = draw(st.sampled_from([SMALL_INTS, BIG_INTS, HUGE_INTS, JSON_SCALARS]))
+        low, high = draw(st.sampled_from([(side - 1, side + 1), (side, side)]))
+        hodge = draw(st.lists(st.lists(entries, min_size=low, max_size=high),
+                              min_size=low, max_size=high))
+        n = draw(st.just((side - 1) // 2) | SMALL_INTS | HUGE_INTS | JSON_SCALARS)
+    obj = {"name": draw(NAMES), "n": n, "hodge": hodge}
     if draw(st.booleans()):
         obj["chern"] = draw(st.dictionaries(
             st.sampled_from(["c2", "c4", "c2^2", "c3", "x", "c2c4", ""]),
@@ -76,7 +84,8 @@ def test_loader_returns_a_record_or_raises_input_error(workdir, content):
     path.write_bytes(content)
     try:
         record = load_manifold(path)
-    except InputError:
+    except InputError as exc:
+        assert all(len(line) <= 200 for line in str(exc).splitlines())
         return
     assert isinstance(record, ManifoldRecord)
 
@@ -141,3 +150,8 @@ def test_cli_exits_0_1_or_2_without_a_traceback(workdir, data):
     code, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err[:200])
     assert "Traceback" not in err
+    lines = err.splitlines()
+    # One error line, or a failed validation: its header, the listed
+    # violations and the count of the rest.
+    assert len(lines) <= MAX_LISTED + 2, (argv, len(lines))
+    assert all(len(line) <= 200 for line in lines), (argv, max(map(len, lines)))

@@ -15,8 +15,12 @@ floating point anywhere:
 * a derived catalog (K3 and Hilbert schemes K3[2..5]) plus JSON persistence.
 
 See the demos/ directory for narrative walkthroughs of each capability and
-the ``hkgenus`` command line for batch use.
+the ``hkgenus`` command line for batch use.  ``series`` and ``sampling``,
+which no command runs, are imported on first use of the module or of one of
+its names, so a command line call does not pay for them.
 """
+
+import importlib
 
 from .errors import (
     DimensionMismatchError,
@@ -27,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
-from .series import TruncatedSeries, binomial_expand
 from .hodge import (
     ClassicalValues,
     HodgeDiamond,
@@ -66,9 +69,27 @@ from .catalog import (
     load_manifold,
     save_manifold,
 )
-from .sampling import random_primitive_table, random_sl2, random_structural_diamond
 
 __version__ = "0.1.0"
+
+_LAZY_MODULES = {
+    "series": ("TruncatedSeries", "binomial_expand"),
+    "sampling": ("random_primitive_table", "random_sl2", "random_structural_diamond"),
+}
+
+
+def __getattr__(name: str):
+    """Import ``series`` or ``sampling`` when it or one of its names is first asked for.
+
+    The names are then stored here, so a later lookup is a plain attribute read.
+    """
+    for module_name, names in _LAZY_MODULES.items():
+        if name == module_name or name in names:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            globals().update({public: getattr(module, public) for public in names})
+            return globals()[name]
+    from .boundary import quote
+    raise AttributeError(f"module '{__name__}' has no attribute {quote(name)}")
 
 __all__ = [
     "ChernData",

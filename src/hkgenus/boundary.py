@@ -17,7 +17,6 @@ refusal so the CLI can report it as an input error.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from .errors import InputError
@@ -74,6 +73,8 @@ def parse_int(text: str, what: str) -> int:
 
 def read_json(path):
     """Read and decode one JSON document from a UTF-8 file."""
+    import json
+
     where = shorten(str(path))
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -99,5 +100,7 @@ def read_json(path):
 
 def write_json(obj, path) -> None:
     """Write ``obj`` as canonical JSON: sorted keys, two-space indent, final newline."""
+    import json
+
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -10,9 +10,6 @@ is honored trivially.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from . import catalog as catalog_mod
@@ -424,8 +421,13 @@ def _csv_rows(payload):
 
 def render(payload, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(payload, indent=2, sort_keys=True)
     if fmt == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows(_csv_rows(payload))

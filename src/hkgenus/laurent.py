@@ -16,10 +16,12 @@ polynomials pass ``t`` to ``to_string``).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .boundary import is_int, quote
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Coefficients = Mapping[int, int]
 
@@ -227,6 +229,7 @@ class LaurentPolynomial:
                     raise ZeroDivisionError(
                         "cannot evaluate a negative exponent at 0"
                     )
+                from fractions import Fraction
                 total += Fraction(c, value**-e)
         return int(total) if total.denominator == 1 else total
 

@@ -42,11 +42,15 @@ import math
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .boundary import SHORT, is_int, parse_int, quote, read_json, shorten, write_json
+from .boundary import (SHORT, is_digit_limit_error, is_int, parse_int, quote, read_json,
+                       shorten, write_json)
 from .errors import InputError
 from .laurent import LaurentPolynomial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # A polynomial in e_1, e_2, ... and y or t: numerators (parts, exponent) -> int
 # over one positive denominator, in lowest terms; parts are the k of each e_k.
@@ -242,6 +246,8 @@ def _pair_series(n: int, kind: str) -> list[Poly]:
 @functools.lru_cache(maxsize=None)
 def _symbolic_coefficients(n: int, kind: str) -> tuple[tuple[str, tuple[tuple[int, Fraction], ...]], ...]:
     """The degree-2n integrand of ``kind`` per Chern monomial, for any n >= 1."""
+    from fractions import Fraction
+
     series = _pair_series(n, kind)
     # u d/du log F = sum_k d_k u^k, from k F_k = sum_{j=1..k} d_j F_{k-j}, and
     # Newton's identities p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
@@ -287,6 +293,16 @@ def supertrace_chern_coefficients(n: int) -> dict[str, dict[int, Fraction]]:
     return _coefficients(n, "trace")
 
 
+def _coefficient_text(c: Fraction) -> str:
+    """``str(c)``, or its numerator and denominator by ``quote`` past the digit limit."""
+    try:
+        return str(c)
+    except ValueError as exc:
+        if not is_digit_limit_error(exc):
+            raise
+        return f"{quote(c.numerator)}/{quote(c.denominator)}"
+
+
 def _from_chern(n: int, data: ChernData, coefficients) -> LaurentPolynomial:
     """The sum of ``coefficients(n)`` weighted by ``data``, an integer polynomial.
 
@@ -302,11 +318,13 @@ def _from_chern(n: int, data: ChernData, coefficients) -> LaurentPolynomial:
         value = data.value(key)
         for e, c in poly.items():
             total[e] = total.get(e, 0) + value * c.numerator * (den // c.denominator)
-    bad = {e: Fraction(c, den) for e, c in total.items() if c % den}
+    bad = sorted((e, c) for e, c in total.items() if c % den)
     if bad:
+        from fractions import Fraction
+
         # 1.5 * SHORT keeps the lists that small data give whole, and the
-        # error line under 200 characters for any data the digit limit admits.
-        listed = ", ".join(f"exp {e}: {c}" for e, c in sorted(bad.items()))
+        # error line under 200 characters.
+        listed = ", ".join(f"exp {e}: {_coefficient_text(Fraction(c, den))}" for e, c in bad)
         raise InputError(
             "non-integral genus coefficients (inconsistent Chern data?): "
             + shorten(listed, 3 * SHORT // 2))

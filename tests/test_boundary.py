@@ -15,7 +15,7 @@ from hkgenus.catalog import builtin, goettsche_expand
 from hkgenus.errors import InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond
 from hkgenus.lefschetz import PrimitiveTable, primitive_multiplicities
-from hkgenus.riemann_roch import ChernData
+from hkgenus.riemann_roch import ChernData, chi_minus_y_from_chern
 from hkgenus.sl2 import SL2Element
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hkgenus"
@@ -31,6 +31,7 @@ HOSTILE_CALLS = {
     "primitive-entry-string": lambda: PrimitiveTable(1, ((1, 0, 1), (0, LONG, 0))),
     "primitive-entry-negative-bigint": lambda: PrimitiveTable(1, ((1, 0, 1), (0, -HUGE, 0))),
     "chern-n-bigint": lambda: ChernData(HUGE, {}),
+    "chern-value-bigint-non-integral": lambda: chi_minus_y_from_chern(1, ChernData(1, {"c2": HUGE + 1})),
     "sl2-entry-string": lambda: SL2Element(LONG, 0, 0, 1),
     "diamond-asymmetric-bigint":
         lambda: HodgeDiamond(((1, 0, 1), (0, 20, 0), (HUGE, 0, 1))).require_valid(),

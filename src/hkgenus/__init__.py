@@ -56,8 +56,6 @@ from .riemann_roch import (
     ChernData,
     chi_minus_y_chern_coefficients,
     chi_minus_y_from_chern,
-    load_chern_data,
-    save_chern_data,
     supertrace_chern_coefficients,
     supertrace_from_chern,
 )
@@ -119,7 +117,6 @@ __all__ = [
     "chi_minus_y_from_chern",
     "eigenvalue_polynomial",
     "goettsche_expand",
-    "load_chern_data",
     "load_manifold",
     "primitive_multiplicities",
     "random_primitive_table",
@@ -127,7 +124,6 @@ __all__ = [
     "random_structural_diamond",
     "reconstruct_diamond",
     "rozansky_witten_invariant",
-    "save_chern_data",
     "save_manifold",
     "substitute_y_plus_yinv",
     "supertrace_chern_coefficients",

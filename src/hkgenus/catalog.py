@@ -247,7 +247,7 @@ def record_to_json_dict(record: ManifoldRecord) -> dict:
         "hodge": [list(row) for row in record.diamond.rows],
     }
     if record.chern is not None:
-        obj["chern"] = {k: record.chern.values[k] for k in sorted(record.chern.values)}
+        obj["chern"] = dict(record.chern.values)
     if record.provenance:
         obj["provenance"] = record.provenance
     return obj

@@ -44,13 +44,13 @@ def _add_manifold_args(parser):
                         help="built-in manifold name (see the catalog subcommand)")
     parser.add_argument("--input", metavar="PATH",
                         help="path to a .hodge.json manifold file")
+    parser.add_argument("--strict", action="store_true",
+                        help="force STRICT validation of the manifold")
 
 
 def _add_common_args(parser):
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default text)")
-    parser.add_argument("--strict", action="store_true",
-                        help="force STRICT validation of the manifold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,14 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_manifold(args, required=True):
     manifold, path = args.manifold, args.input
-    if manifold and path:
+    if manifold is not None and path is not None:
         raise InputError("exactly one manifold source: use --manifold or --input, not both")
     level = ValidationLevel.STRICT if args.strict else ValidationLevel.STRUCTURAL
-    if manifold:
+    if manifold is not None:
         record = catalog_mod.builtin(manifold)
         record.diamond.require_valid(level)
         return record
-    if path:
+    if path is not None:
         return catalog_mod.load_manifold(path, level)
     if required:
         raise InputError("a manifold is required: pass --manifold NAME or --input PATH")
@@ -142,7 +142,7 @@ def _cmd_strace(args):
         "n": record.diamond.n,
         "supertrace_t": s_t.to_string("t"),
     }
-    if args.matrix:
+    if args.matrix is not None:
         u = SL2Element.from_string(args.matrix)
         payload["matrix"] = u.to_string()
         payload["trace"] = u.trace
@@ -152,7 +152,7 @@ def _cmd_strace(args):
 
 def _cmd_verify(args):
     if args.all_builtin:
-        if args.manifold or args.input:
+        if args.manifold is not None or args.input is not None:
             raise InputError("--all-builtin does not take a manifold source")
         records = [catalog_mod.builtin(name) for name in catalog_mod.builtin_names()]
     else:
@@ -231,7 +231,7 @@ def _cmd_rr(args):
     payload = {
         "command": "rr",
         "n": args.n,
-        "chern": {k: data.values[k] for k in sorted(data.values)},
+        "chern": dict(data.values),
         "chi_minus_y": chi_neg.to_string("y"),
         "supertrace_t": s_t.to_string("t"),
         "substitution_consistent": consistent,

@@ -130,14 +130,6 @@ class HodgeDiamond:
     def side(self) -> int:
         return len(self.rows)
 
-    def entry(self, p: int, q: int) -> int:
-        if not (0 <= p < self.side and 0 <= q < self.side):
-            raise IndexError(f"(p, q) = ({quote(p)}, {quote(q)}) outside 0..{self.side - 1}")
-        return self.rows[p][q]
-
-    def with_name(self, name: str | None) -> "HodgeDiamond":
-        return HodgeDiamond(self.rows, name)
-
     def __str__(self) -> str:
         # Classic diamond rendering: antidiagonals p+q = const, top is (0,0).
         side = self.side

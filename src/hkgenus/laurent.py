@@ -15,7 +15,6 @@ polynomials pass ``t`` to ``to_string``).
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .boundary import is_int, quote
@@ -74,10 +73,6 @@ class LaurentPolynomial:
         return cls({0: c})
 
     @classmethod
-    def monomial(cls, coefficient: int, exponent: int) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
-
-    @classmethod
     def variable(cls) -> "LaurentPolynomial":
         return cls({1: 1})
 
@@ -89,9 +84,6 @@ class LaurentPolynomial:
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs in ascending exponent order."""
         return iter(self._key)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self._key)
 
     def degree(self) -> int | None:
         """Highest exponent, or None for the zero polynomial."""
@@ -203,10 +195,6 @@ class LaurentPolynomial:
             {e: c if e % 2 == 0 else -c for e, c in self._terms.items()}
         )
 
-    def invert_variable(self) -> "LaurentPolynomial":
-        """Substitute v -> 1/v (negate every exponent)."""
-        return LaurentPolynomial({-e: c for e, c in self._terms.items()})
-
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by v^k."""
         _check_int(k)
@@ -233,7 +221,7 @@ class LaurentPolynomial:
                 total += Fraction(c, value**-e)
         return int(total) if total.denominator == 1 else total
 
-    # -- rendering and parsing ---------------------------------------------
+    # -- rendering ---------------------------------------------------------
 
     def to_string(self, var: str = "y") -> str:
         """Render as explicit monomials in descending exponent order.
@@ -254,35 +242,6 @@ class LaurentPolynomial:
                 body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
             pieces.append(f"{sign}{body}")
         return "".join(pieces)
-
-    @classmethod
-    def parse(cls, text: str, var: str = "y") -> "LaurentPolynomial":
-        """Parse the ``to_string`` format back into a polynomial."""
-        text = text.replace(" ", "")
-        if not text:
-            raise ValueError("empty polynomial string")
-        if text == "0":
-            return cls.zero()
-        token = re.compile(
-            rf"([+-]?)(\d+)?(?:({re.escape(var)})(?:\^(-?\d+))?)?"
-        )
-        terms: dict[int, int] = {}
-        pos = 0
-        while pos < len(text):
-            m = token.match(text, pos)
-            if not m or m.end() == pos or (m.group(2) is None and m.group(3) is None):
-                raise ValueError(f"cannot parse {quote(text)} at position {pos}")
-            sign = -1 if m.group(1) == "-" else 1
-            coeff = int(m.group(2)) if m.group(2) is not None else 1
-            if m.group(3) is None:
-                exponent = 0
-            elif m.group(4) is None:
-                exponent = 1
-            else:
-                exponent = int(m.group(4))
-            terms[exponent] = terms.get(exponent, 0) + sign * coeff
-            pos = m.end()
-        return cls(terms)
 
 
 def substitute_y_plus_yinv(p: LaurentPolynomial) -> LaurentPolynomial:

@@ -101,9 +101,6 @@ class PrimitiveTable:
                 if value < 0:
                     raise NegativePrimitiveError(p, q, value)
 
-    def multiplicity(self, p: int, q: int) -> int:
-        return self.rows[p][q]
-
     def representation_dimension(self, p: int) -> int:
         """Dimension of the irreducible generated at row p."""
         return self.n - p + 1

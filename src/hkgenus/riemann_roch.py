@@ -44,8 +44,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .boundary import (SHORT, is_digit_limit_error, is_int, parse_int, quote, read_json,
-                       shorten, write_json)
+from .boundary import SHORT, is_digit_limit_error, is_int, parse_int, quote, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
@@ -133,7 +132,10 @@ def parse_monomial_key(key: str, degree: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ChernData:
-    """Formal Chern-number assignment for the degree-2n evaluation."""
+    """Formal Chern-number assignment for the degree-2n evaluation.
+
+    ``values`` is stored in sorted key order, the order every output uses.
+    """
 
     n: int
     values: Mapping[str, int]
@@ -157,31 +159,12 @@ class ChernData:
             if not is_int(value):
                 raise InputError(f"Chern number for {quote(key)} must be an integer")
             cleaned[key] = value
-        object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "values", dict(sorted(cleaned.items())))
 
     def value(self, key: str) -> int:
         if key not in self.values:
             raise InputError(f"Chern monomial {quote(key)} missing from data for n = {self.n}")
         return self.values[key]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "chern": {k: self.values[k] for k in sorted(self.values)}}
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "ChernData":
-        if not isinstance(obj, dict) or "n" not in obj or "chern" not in obj:
-            raise InputError('Chern data must be an object {"n": ..., "chern": {...}}')
-        if not isinstance(obj["chern"], dict):
-            raise InputError('"chern" must map monomial keys to integers')
-        return cls(obj["n"], obj["chern"])
-
-
-def load_chern_data(path) -> ChernData:
-    return ChernData.from_json_dict(read_json(path))
-
-
-def save_chern_data(data: ChernData, path) -> None:
-    write_json(data.to_json_dict(), path)
 
 
 # -- the multiplicative sequence ---------------------------------------------

@@ -26,6 +26,7 @@ from hkgenus.errors import (
     ValidationError,
 )
 from hkgenus.hodge import HodgeDiamond, ValidationLevel
+from hkgenus.riemann_roch import ChernData
 from hkgenus.series import TruncatedSeries, binomial_expand
 
 
@@ -44,8 +45,8 @@ def test_k3_seed_values():
 
 def test_k3_2_expected_entries():
     d = builtin("K3[2]").diamond
-    assert d.entry(1, 1) == 21
-    assert d.entry(2, 2) == 232
+    assert d.rows[1][1] == 21
+    assert d.rows[2][2] == 232
     assert d.classical_values().euler == 324
 
 
@@ -219,8 +220,8 @@ def test_expansion_names_follow_the_base_passed_in():
     # Diamond equality ignores names, so equal tables share no cached names.
     k3 = builtin("K3").diamond
     assert [d.name for d in goettsche_expand(k3, 2)] == ["K3[1]", "K3[2]"]
-    assert [d.name for d in goettsche_expand(k3.with_name("S"), 2)] == ["S[1]", "S[2]"]
-    assert [d.name for d in goettsche_expand(k3.with_name(None), 2)] == [
+    assert [d.name for d in goettsche_expand(HodgeDiamond(k3.rows, "S"), 2)] == ["S[1]", "S[2]"]
+    assert [d.name for d in goettsche_expand(HodgeDiamond(k3.rows, None), 2)] == [
         "surface[1]", "surface[2]"]
     assert [d.name for d in goettsche_expand(k3, 2)] == ["K3[1]", "K3[2]"]
     assert goettsche_expand(k3, 2) is goettsche_expand(k3, 2)
@@ -263,6 +264,10 @@ def test_serialization_is_canonical():
     assert obj["n"] == 1
     assert obj["hodge"] == [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     assert obj["chern"] == {"c2": 24}
+    # Chern data keep the sorted key order they get on construction.
+    shuffled = ManifoldRecord(name="K3[2]", diamond=builtin("K3[2]").diamond,
+                              chern=ChernData(2, {"C4": 324, "c2^2": 828}))
+    assert list(record_to_json_dict(shuffled)["chern"]) == ["c2^2", "c4"]
 
 
 def test_load_rejects_negative_entry(tmp_path):
@@ -324,7 +329,7 @@ def test_big_integers_round_trip(tmp_path):
     path = tmp_path / "huge.hodge.json"
     save_manifold(record, path)
     loaded = load_manifold(path)
-    assert loaded.diamond.entry(1, 1) == 20 * scale
+    assert loaded.diamond.rows[1][1] == 20 * scale
 
 
 def test_float_entries_rejected(tmp_path):

@@ -196,6 +196,18 @@ def test_usage_errors_exit_1(capsys):
     assert err
     code, _, err = run(capsys, "chi", "--manifold", "K3", "--format", "yaml")
     assert code == 1
+    # An empty option value is given, not absent; catalog reads no manifold.
+    for argv, first in [
+        (("strace", "--manifold", "K3", "--matrix", ""), "error: matrix must have two rows"),
+        (("verify", "--all-builtin", "--manifold", ""),
+         "error: --all-builtin does not take a manifold source"),
+        (("rr", "--n", "1", "--c2", "24", "--manifold", ""), "error: unknown built-in ''"),
+        (("chi", "--manifold", "", "--input", "f"), "error: exactly one manifold source"),
+        (("catalog", "--strict"), "error: unrecognized arguments: --strict"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith(first), argv
 
 
 def test_unknown_builtin_exit_1(capsys):

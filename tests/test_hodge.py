@@ -188,21 +188,12 @@ def test_strict_report_extends_the_structural_one():
         "irreducibility", "irreducibility"]
 
 
-def test_entry_accessor_bounds():
-    d = HodgeDiamond(K3_ROWS)
-    assert d.entry(1, 1) == 20
-    with pytest.raises(IndexError):
-        d.entry(3, 0)
-    with pytest.raises(IndexError):
-        d.entry(0, -1)
-
-
 def test_name_is_a_label_not_content():
     named = HodgeDiamond(K3_ROWS, name="K3")
     anonymous = HodgeDiamond(K3_ROWS)
     assert named == anonymous
     assert hash(named) == hash(anonymous)
-    assert named.with_name(None) == anonymous
+    assert HodgeDiamond(named.rows, None) == anonymous
 
 
 def test_pretty_print_shape():

@@ -116,7 +116,6 @@ def test_evaluate_is_ring_homomorphism():
 def test_variable_transforms():
     p = LaurentPolynomial({2: 3, 1: -1, -1: 5})
     assert p.negate_variable() == LaurentPolynomial({2: 3, 1: 1, -1: -5})
-    assert p.invert_variable() == LaurentPolynomial({-2: 3, -1: -1, 1: 5})
     assert p.shifted(2) == LaurentPolynomial({4: 3, 3: -1, 1: 5})
 
 
@@ -176,18 +175,6 @@ def test_to_string_descending_order():
     assert LaurentPolynomial({1: 1, 0: -1}).to_string("y") == "y-1"
     assert LaurentPolynomial({1: -1}).to_string("y") == "-y"
     assert LaurentPolynomial.zero().to_string("y") == "0"
-
-
-def test_parse_round_trip():
-    rng = random.Random(3)
-    for _ in range(100):
-        p = LaurentPolynomial(
-            {rng.randint(-5, 5): rng.randint(-30, 30) for _ in range(rng.randint(0, 6))})
-        assert LaurentPolynomial.parse(p.to_string("y"), "y") == p
-    assert LaurentPolynomial.parse("y^2-1", "y") == LaurentPolynomial({2: 1, 0: -1})
-    assert LaurentPolynomial.parse("0") == LaurentPolynomial.zero()
-    with pytest.raises(ValueError):
-        LaurentPolynomial.parse("2x+1", "y")
 
 
 def test_big_integer_coefficients():

@@ -114,11 +114,6 @@ def test_int_scalar_product_matches_constant_product(p, k):
     assert all(type(c) is int and c != 0 for _, c in (p * k).terms())
 
 
-@given(laurent_polys)
-def test_serialize_parse_round_trip(p):
-    assert LaurentPolynomial.parse(p.to_string("y"), "y") == p
-
-
 series_terms = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.integers(-9, 9),

@@ -3,11 +3,12 @@
 import collections
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hkgenus.catalog import builtin
+from hkgenus.catalog import builtin, builtin_names, load_manifold
 from hkgenus.errors import InputError
 from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
 from hkgenus.lefschetz import supertrace_polynomial
@@ -17,12 +18,11 @@ from hkgenus.riemann_roch import (
     chern_basis,
     chi_minus_y_chern_coefficients,
     chi_minus_y_from_chern,
-    load_chern_data,
     parse_monomial_key,
-    save_chern_data,
     supertrace_chern_coefficients,
     supertrace_from_chern,
 )
+from hkgenus.sampling import random_structural_diamond
 
 K3_CHERN = ChernData(1, {"c2": 24})
 K3_2_CHERN = ChernData(2, {"c2^2": 828, "c4": 324})
@@ -308,19 +308,14 @@ def test_monomial_key_validation():
         ChernData(1, {"c2": 1.5})
 
 
-def test_chern_data_file_round_trip(tmp_path):
-    path = tmp_path / "fourfold.chern.json"
-    save_chern_data(K3_2_CHERN, path)
-    assert load_chern_data(path) == K3_2_CHERN
-    content = path.read_text(encoding="utf-8")
-    assert '"n": 2' in content and '"c2^2": 828' in content
+K3_FILE = '{"name": "K3", "n": %s, "hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]],\n  "chern": %s}\n'
 
 
 def test_chern_data_file_parse_error_reports_position(tmp_path):
-    path = tmp_path / "broken.chern.json"
-    path.write_text('{"n": 2,\n  "chern": }\n', encoding="utf-8")
+    path = tmp_path / "broken.hodge.json"
+    path.write_text(K3_FILE % (1, ""), encoding="utf-8")
     with pytest.raises(InputError, match="line 2"):
-        load_chern_data(path)
+        load_manifold(path)
 
 
 @pytest.mark.parametrize("n", [1.0, True, "1", None])
@@ -330,10 +325,10 @@ def test_chern_data_n_must_be_an_int(n):
 
 
 def test_chern_data_file_with_float_n_rejected(tmp_path):
-    path = tmp_path / "float.chern.json"
-    path.write_text('{"n": 1.0, "chern": {"c2": 24}}', encoding="utf-8")
-    with pytest.raises(InputError, match="n must be an integer"):
-        load_chern_data(path)
+    path = tmp_path / "float.hodge.json"
+    path.write_text(K3_FILE % ("1.0", '{"c2": 24}'), encoding="utf-8")
+    with pytest.raises(InputError, match='"n" must be a positive integer'):
+        load_manifold(path)
 
 
 def test_keys_normalising_to_one_monomial_rejected():
@@ -374,3 +369,27 @@ def test_mixed_monomial_keys_round_trip_the_basis():
         for key, partition in chern_basis(n):
             assert parse_monomial_key(key, 2 * n) == tuple(2 * k for k in partition)
     assert parse_monomial_key(" C2^2C4 ", 8) == (2, 2, 4)
+
+
+def libgober_wood(n, chi):
+    """sum_p (-1)^p (6 (p - n)^2 - n) chi^p for chi_y = sum_p chi^p y^p.
+
+    Libgober and Wood (J. Differential Geom. 32, 1990): zero on the genus of
+    every compact complex 2n-fold with c_1 = 0, so on every hyper-Kahler one.
+    """
+    return sum((-1) ** p * (6 * (p - n) ** 2 - n) * c for p, c in chi.items())
+
+
+def test_libgober_wood_relation_holds_on_every_hyperkahler_genus():
+    for name in builtin_names():
+        d = builtin(name).diamond
+        assert libgober_wood(d.n, dict(d.chi_y().terms())) == 0, name
+    # Every Chern monomial's chi_{-y} column, read as chi_y.
+    for n in range(1, 9):
+        for key, column in _symbolic_coefficients(n, "genus"):
+            assert libgober_wood(n, {p: (-1) ** p * c for p, c in column}) == 0, (n, key)
+    # STRUCTURAL checks symmetries only, so a random valid table fails it.
+    rng = random.Random(7)
+    for n in range(1, 6):
+        d = random_structural_diamond(rng, n)
+        assert libgober_wood(n, dict(d.chi_y().terms())) != 0, n

@@ -5,15 +5,22 @@ stdout in text, CSV or JSON form (all three carry identical numbers); errors
 go to stderr.  Exit codes: 0 success, 1 input or validation error, 2 identity
 check failure, 3 internal inconsistency.  Output is plain text, so NO_COLOR
 is honored trivially.
+
+Each subcommand is declared once: an ``add_parser`` site in ``build_parser``
+that attaches its ``_cmd_*`` handler with ``set_defaults(handler=...)``.  A
+handler takes the parsed arguments and returns ``(payload, lines, code)``:
+the payload dict that JSON and CSV are written from, the lines of the text
+form, and the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import catalog as catalog_mod
-from .boundary import SHORT, digit_limit, is_digit_limit_error, quote, shorten
+from .boundary import SHORT, digit_limit, is_digit_limit_error, parse_int, quote, shorten
 from .errors import InputError, InternalInconsistencyError
 from .hodge import ValidationLevel
 from .laurent import substitute_y_plus_yinv
@@ -21,6 +28,7 @@ from .lefschetz import (
     primitive_multiplicities,
     rozansky_witten_invariant,
     supertrace_polynomial,
+    supertrace_value,
     verify_supertrace_identity,
 )
 from .riemann_roch import ChernData, chi_minus_y_from_chern, supertrace_from_chern
@@ -30,6 +38,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IDENTITY = 2
 EXIT_INTERNAL = 3
+
+# The Chern numbers ``rr`` takes: option, ChernData key, the n it belongs to.
+_CHERN_FLAGS = (("--c2", "c2", 1), ("--c2sq", "c2^2", 2), ("--c4", "c4", 2))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,52 +59,48 @@ def _add_manifold_args(parser):
                         help="force STRICT validation of the manifold")
 
 
-def _add_common_args(parser):
-    parser.add_argument("--format", choices=("text", "csv", "json"), default="text",
-                        help="output format (default text)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hkgenus", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chi", help="chi_y genus, chi_{-y}, and the classical values")
-    _add_manifold_args(p)
-    _add_common_args(p)
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("strace", help="graded-trace polynomial S(t), optionally evaluated")
+    p = command("chi", _cmd_chi, "chi_y genus, chi_{-y}, and the classical values")
+    _add_manifold_args(p)
+
+    p = command("strace", _cmd_strace, "graded-trace polynomial S(t), optionally evaluated")
     _add_manifold_args(p)
     p.add_argument("--matrix", metavar='"a,b;c,d"', help="integer SL(2) element")
-    _add_common_args(p)
 
-    p = sub.add_parser("verify", help="check S(y+1/y) = chi_{-y}/y^n exactly")
+    p = command("verify", _cmd_verify, "check S(y+1/y) = chi_{-y}/y^n exactly")
     _add_manifold_args(p)
     p.add_argument("--all-builtin", action="store_true",
                    help="verify every catalog entry in order")
-    _add_common_args(p)
 
-    p = sub.add_parser("decompose", help="primitive multiplicities and irreducible content")
+    p = command("decompose", _cmd_decompose, "primitive multiplicities and irreducible content")
     _add_manifold_args(p)
-    _add_common_args(p)
 
-    p = sub.add_parser("rw", help="mapping-torus invariant of an integer monodromy")
+    p = command("rw", _cmd_rw, "mapping-torus invariant of an integer monodromy")
     _add_manifold_args(p)
     p.add_argument("--matrix", metavar='"a,b;c,d"', required=True,
                    help="monodromy in SL(2,Z)")
-    _add_common_args(p)
 
-    p = sub.add_parser("rr", help="Riemann-Roch side from Chern numbers")
-    p.add_argument("--n", type=int, required=True, metavar="N",
+    p = command("rr", _cmd_rr, "Riemann-Roch side from Chern numbers")
+    p.add_argument("--n", type=partial(parse_int, what="--n"), required=True, metavar="N",
                    help="half complex dimension (1 or 2)")
-    p.add_argument("--c2", type=int, metavar="INT", help="c2 (n=1)")
-    p.add_argument("--c2sq", type=int, metavar="INT", help="c2^2 (n=2)")
-    p.add_argument("--c4", type=int, metavar="INT", help="c4 (n=2)")
+    for flag, key, n in _CHERN_FLAGS:
+        p.add_argument(flag, type=partial(parse_int, what=flag), dest=key, metavar="INT",
+                       help=f"{key} (n={n})")
     _add_manifold_args(p)
-    _add_common_args(p)
 
-    p = sub.add_parser("catalog", help="list built-in manifolds")
-    _add_common_args(p)
+    command("catalog", _cmd_catalog, "list built-in manifolds")
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                       help="output format (default text)")
     return parser
 
 
@@ -119,35 +126,41 @@ def _cmd_chi(args):
     record = _resolve_manifold(args)
     d = record.diamond
     genus = d.chi_y()
+    chi_y, chi_minus_y = genus.to_string("y"), genus.negate_variable().to_string("y")
     values = d.classical_values()
     payload = {
         "command": "chi",
         "name": record.name,
         "n": d.n,
-        "chi_y": genus.to_string("y"),
-        "chi_minus_y": genus.negate_variable().to_string("y"),
+        "chi_y": chi_y,
+        "chi_minus_y": chi_minus_y,
         "euler": values.euler,
         "todd": values.todd_genus,
         "signature": values.signature,
     }
-    return payload, EXIT_OK
+    lines = [
+        f"manifold: {record.name} (n={d.n})",
+        f"chi_y      = {chi_y}",
+        f"chi_{{-y}}   = {chi_minus_y}",
+        f"euler      = {values.euler}",
+        f"todd       = {values.todd_genus}",
+        f"signature  = {values.signature}",
+    ]
+    return payload, lines, EXIT_OK
 
 
 def _cmd_strace(args):
     record = _resolve_manifold(args)
-    s_t = supertrace_polynomial(record.diamond)
-    payload = {
-        "command": "strace",
-        "name": record.name,
-        "n": record.diamond.n,
-        "supertrace_t": s_t.to_string("t"),
-    }
+    s_t = supertrace_polynomial(record.diamond).to_string("t")
+    payload = {"command": "strace", "name": record.name, "n": record.diamond.n,
+               "supertrace_t": s_t}
+    line = f"S(t)={s_t}"
     if args.matrix is not None:
         u = SL2Element.from_string(args.matrix)
-        payload["matrix"] = u.to_string()
-        payload["trace"] = u.trace
-        payload["value"] = int(s_t.evaluate(u.trace))
-    return payload, EXIT_OK
+        value = supertrace_value(record.diamond, u)
+        payload.update(matrix=u.to_string(), trace=u.trace, value=value)
+        line += f"  S({u.trace})={value}"
+    return payload, [line], EXIT_OK
 
 
 def _cmd_verify(args):
@@ -157,22 +170,25 @@ def _cmd_verify(args):
         records = [catalog_mod.builtin(name) for name in catalog_mod.builtin_names()]
     else:
         records = [_resolve_manifold(args)]
-    results = []
+    results, lines = [], []
     for record in records:
         if args.strict and args.all_builtin:  # _resolve_manifold checked the others
             record.diamond.require_valid(ValidationLevel.STRICT)
         report = verify_supertrace_identity(record.diamond)
-        results.append({
-            "name": record.name,
-            "n": record.diamond.n,
-            "passed": report.passed,
-            "supertrace_t": report.supertrace.to_string("t"),
-            "lhs": report.lhs.to_string("y"),
-            "rhs": report.rhs.to_string("y"),
-        })
+        n, lhs, rhs = record.diamond.n, report.lhs.to_string("y"), report.rhs.to_string("y")
+        results.append({"name": record.name, "n": n, "passed": report.passed,
+                        "supertrace_t": report.supertrace.to_string("t"),
+                        "lhs": lhs, "rhs": rhs})
+        if report.passed:
+            line = f"PASS  ST(t=y+1/y) = {lhs} = chi_{{-y}}/y^{n}"
+        else:
+            line = f"FAIL  ST(t=y+1/y) = {lhs} != {rhs} = chi_{{-y}}/y^{n}"
+        lines.append(f"{record.name}: {line}" if len(records) > 1 else line)
     all_passed = all(r["passed"] for r in results)
+    if len(records) > 1:
+        lines.append("all passed" if all_passed else "FAILURES present")
     payload = {"command": "verify", "results": results, "all_passed": all_passed}
-    return payload, EXIT_OK if all_passed else EXIT_IDENTITY
+    return payload, lines, EXIT_OK if all_passed else EXIT_IDENTITY
 
 
 def _cmd_decompose(args):
@@ -194,13 +210,22 @@ def _cmd_decompose(args):
         "primitive": [list(row) for row in table.rows],
         "representations": representations,
     }
-    return payload, EXIT_OK
+    lines = [
+        f"manifold: {record.name} (n={table.n})",
+        "primitive multiplicities prim(p,q), rows p=0..n, columns q=0..2n:",
+        *(f"  p={p}: {' '.join(map(str, row))}" for p, row in enumerate(table.rows)),
+        "irreducible content (dimension n-p+1 against column q):",
+        *(f"  p={rep['p']}: {rep['total']} string(s) of dimension {rep['dimension']}"
+          f", per q {rep['multiplicities']}" for rep in representations),
+    ]
+    return payload, lines, EXIT_OK
 
 
 def _cmd_rw(args):
     record = _resolve_manifold(args)
     u = SL2Element.from_string(args.matrix)
     result = rozansky_witten_invariant(record.diamond, u)
+    s_t = result.supertrace.to_string("t")
     payload = {
         "command": "rw",
         "name": record.name,
@@ -208,20 +233,19 @@ def _cmd_rw(args):
         "matrix": u.to_string(),
         "trace": result.trace,
         "value": result.value,
-        "supertrace_t": result.supertrace.to_string("t"),
+        "supertrace_t": s_t,
     }
-    return payload, EXIT_OK
+    lines = [
+        f"Z^RW[T_U] = {result.value}  (monodromy {payload['matrix']}, trace {result.trace})",
+        f"S(t)={s_t}",
+    ]
+    return payload, lines, EXIT_OK
 
 
 def _cmd_rr(args):
-    values = {}
-    if args.c2 is not None:
-        values["c2"] = args.c2
-    if args.c2sq is not None:
-        values["c2^2"] = args.c2sq
-    if args.c4 is not None:
-        values["c4"] = args.c4
-    data = ChernData(args.n, values)
+    given = vars(args)
+    data = ChernData(args.n, {key: given[key] for _, key, _ in _CHERN_FLAGS
+                              if given[key] is not None})
     chi_neg = chi_minus_y_from_chern(args.n, data)
     s_t = supertrace_from_chern(args.n, data)
     consistent = substitute_y_plus_yinv(s_t).shifted(args.n) == chi_neg
@@ -236,6 +260,13 @@ def _cmd_rr(args):
         "supertrace_t": s_t.to_string("t"),
         "substitution_consistent": consistent,
     }
+    chern = ", ".join(f"{k}={v}" for k, v in data.values.items())
+    lines = [
+        f"n = {args.n}, chern: {chern}",
+        f"chi_{{-y}} = {payload['chi_minus_y']}",
+        f"S(t)      = {payload['supertrace_t']}",
+        "substitution consistency (y^n S(y+1/y) = chi_{-y}): ok",
+    ]
     code = EXIT_OK
     record = _resolve_manifold(args, required=False)
     if record is not None:
@@ -252,136 +283,31 @@ def _cmd_rr(args):
             "hodge_supertrace_t": hodge_s_t.to_string("t"),
             "matches_hodge": matches,
         })
-        if not matches:
+        if matches:
+            lines.append(f"hodge comparison ({record.name}): MATCH")
+        else:
+            lines.append(
+                f"hodge comparison ({record.name}): MISMATCH  "
+                f"hodge chi_{{-y}} = {payload['hodge_chi_minus_y']}, "
+                f"hodge S(t) = {payload['hodge_supertrace_t']}")
             code = EXIT_IDENTITY
-    return payload, code
+    return payload, lines, code
 
 
 def _cmd_catalog(args):
     entries = []
+    lines = [f"{'name':<8} {'n':>2} {'euler':>8} {'todd':>6} {'signature':>10}"]
     for name in catalog_mod.builtin_names():
         record = catalog_mod.builtin(name)
-        values = record.diamond.classical_values()
-        entries.append({
-            "name": name,
-            "n": record.diamond.n,
-            "euler": values.euler,
-            "todd": values.todd_genus,
-            "signature": values.signature,
-        })
-    payload = {"command": "catalog", "entries": entries}
-    return payload, EXIT_OK
-
-
-_HANDLERS = {
-    "chi": _cmd_chi,
-    "strace": _cmd_strace,
-    "verify": _cmd_verify,
-    "decompose": _cmd_decompose,
-    "rw": _cmd_rw,
-    "rr": _cmd_rr,
-    "catalog": _cmd_catalog,
-}
+        n, values = record.diamond.n, record.diamond.classical_values()
+        entries.append({"name": name, "n": n, "euler": values.euler,
+                        "todd": values.todd_genus, "signature": values.signature})
+        lines.append(f"{name:<8} {n:>2} {values.euler:>8} {values.todd_genus:>6}"
+                     f" {values.signature:>10}")
+    return {"command": "catalog", "entries": entries}, lines, EXIT_OK
 
 
 # -- rendering -----------------------------------------------------------------
-
-def _text_chi(payload):
-    return [
-        f"manifold: {payload['name']} (n={payload['n']})",
-        f"chi_y      = {payload['chi_y']}",
-        f"chi_{{-y}}   = {payload['chi_minus_y']}",
-        f"euler      = {payload['euler']}",
-        f"todd       = {payload['todd']}",
-        f"signature  = {payload['signature']}",
-    ]
-
-
-def _text_strace(payload):
-    line = f"S(t)={payload['supertrace_t']}"
-    if "value" in payload:
-        line += f"  S({payload['trace']})={payload['value']}"
-    return [line]
-
-
-def _verify_line(result):
-    n = result["n"]
-    if result["passed"]:
-        return f"PASS  ST(t=y+1/y) = {result['lhs']} = chi_{{-y}}/y^{n}"
-    return (f"FAIL  ST(t=y+1/y) = {result['lhs']} != {result['rhs']}"
-            f" = chi_{{-y}}/y^{n}")
-
-
-def _text_verify(payload):
-    results = payload["results"]
-    if len(results) == 1:
-        return [_verify_line(results[0])]
-    lines = [f"{r['name']}: {_verify_line(r)}" for r in results]
-    lines.append("all passed" if payload["all_passed"] else "FAILURES present")
-    return lines
-
-
-def _text_decompose(payload):
-    lines = [
-        f"manifold: {payload['name']} (n={payload['n']})",
-        "primitive multiplicities prim(p,q), rows p=0..n, columns q=0..2n:",
-    ]
-    for rep in payload["representations"]:
-        row = " ".join(str(v) for v in rep["multiplicities"])
-        lines.append(f"  p={rep['p']}: {row}")
-    lines.append("irreducible content (dimension n-p+1 against column q):")
-    for rep in payload["representations"]:
-        lines.append(
-            f"  p={rep['p']}: {rep['total']} string(s) of dimension {rep['dimension']}"
-            f", per q {rep['multiplicities']}")
-    return lines
-
-
-def _text_rw(payload):
-    return [
-        f"Z^RW[T_U] = {payload['value']}  (monodromy {payload['matrix']}, trace {payload['trace']})",
-        f"S(t)={payload['supertrace_t']}",
-    ]
-
-
-def _text_rr(payload):
-    chern = ", ".join(f"{k}={v}" for k, v in payload["chern"].items())
-    lines = [
-        f"n = {payload['n']}, chern: {chern}",
-        f"chi_{{-y}} = {payload['chi_minus_y']}",
-        f"S(t)      = {payload['supertrace_t']}",
-        "substitution consistency (y^n S(y+1/y) = chi_{-y}): ok",
-    ]
-    if "matches_hodge" in payload:
-        if payload["matches_hodge"]:
-            lines.append(f"hodge comparison ({payload['manifold']}): MATCH")
-        else:
-            lines.append(
-                f"hodge comparison ({payload['manifold']}): MISMATCH  "
-                f"hodge chi_{{-y}} = {payload['hodge_chi_minus_y']}, "
-                f"hodge S(t) = {payload['hodge_supertrace_t']}")
-    return lines
-
-
-def _text_catalog(payload):
-    header = f"{'name':<8} {'n':>2} {'euler':>8} {'todd':>6} {'signature':>10}"
-    lines = [header]
-    for e in payload["entries"]:
-        lines.append(
-            f"{e['name']:<8} {e['n']:>2} {e['euler']:>8} {e['todd']:>6} {e['signature']:>10}")
-    return lines
-
-
-_TEXT_RENDERERS = {
-    "chi": _text_chi,
-    "strace": _text_strace,
-    "verify": _text_verify,
-    "decompose": _text_decompose,
-    "rw": _text_rw,
-    "rr": _text_rr,
-    "catalog": _text_catalog,
-}
-
 
 def _flatten(payload, prefix=""):
     # key,value rows for CSV; nested dicts use dotted keys.
@@ -419,7 +345,8 @@ def _csv_rows(payload):
             yield (key, value)
 
 
-def render(payload, fmt: str) -> str:
+def render(payload, lines, fmt: str) -> str:
+    """JSON and CSV are written from ``payload`` alone; text joins ``lines``."""
     if fmt == "json":
         import json
 
@@ -432,14 +359,14 @@ def render(payload, fmt: str) -> str:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows(_csv_rows(payload))
         return buffer.getvalue().rstrip("\n")
-    return "\n".join(_TEXT_RENDERERS[payload["command"]](payload))
+    return "\n".join(lines)
 
 
 def _run(args) -> tuple[str, int]:
     """Run the subcommand and render its result as the requested format."""
     try:
-        payload, code = _HANDLERS[args.command](args)
-        return render(payload, args.format), code
+        payload, lines, code = args.handler(args)
+        return render(payload, lines, args.format), code
     except ValueError as exc:
         # Large inputs can give results with more digits than the interpreter
         # writes as text (the value of S at a huge trace, say).

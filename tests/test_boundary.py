@@ -77,9 +77,14 @@ def test_primitive_multiplicities_lists_a_bounded_number_of_violations():
 
 
 def _rule_breaks(path):
-    """Calls ``isinstance(..., bool)``, and ``repr(`` or ``!r`` inside a raise."""
+    """Calls ``isinstance(..., bool)``, a ``type=int`` keyword, and ``repr(`` or
+    ``!r`` inside a raise."""
     tree = ast.parse(path.read_text(), str(path))
     for node in ast.walk(tree):
+        if (isinstance(node, ast.keyword) and node.arg == "type"
+                and isinstance(node.value, ast.Name) and node.value.id == "int"
+                and path.name != "boundary.py"):
+            yield f"{path.name}:{node.value.lineno}: type=int; use boundary.parse_int"
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance" and len(node.args) == 2
                 and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
@@ -107,6 +112,7 @@ def test_rule_check_sees_each_kind_of_break(tmp_path):
         "def f(x):\n"
         "    if isinstance(x, (int, bool)):\n"
         "        raise ValueError(f'bad {x!r}')\n"
-        "    raise ValueError('bad ' + repr(x))\n")
+        "    raise ValueError('bad ' + repr(x))\n"
+        "    parser.add_argument('--n', type=int)\n")
     assert sorted(line.split(": ", 1)[0] for line in _rule_breaks(path)) == [
-        "sample.py:2", "sample.py:3", "sample.py:4"]
+        "sample.py:2", "sample.py:3", "sample.py:4", "sample.py:5"]

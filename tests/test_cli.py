@@ -1,14 +1,17 @@
 """CLI tests: output formats, exit codes, stream separation."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hkgenus.catalog import ManifoldRecord, builtin, save_manifold
-from hkgenus.cli import main
+from hkgenus.catalog import ManifoldRecord, builtin, builtin_names, save_manifold
+from hkgenus.cli import build_parser, main
 from hkgenus.hodge import HodgeDiamond
+from hkgenus.laurent import LaurentPolynomial
+from hkgenus.lefschetz import IdentityReport
 
 
 def run(capsys, *argv):
@@ -58,6 +61,42 @@ def test_verify_all_builtin(capsys):
     assert all("PASS" in line for line in lines[:5])
     assert lines[0].startswith("K3:")
     assert lines[-1] == "all passed"
+
+
+def failing_report(d):
+    """An identity report with unequal sides; no valid diamond produces one."""
+    return IdentityReport(False, LaurentPolynomial({1: 2, 0: 20}),
+                          LaurentPolynomial({1: 2, 0: 20, -1: 2}),
+                          LaurentPolynomial({1: 2, 0: 21, -1: 2}), d.name)
+
+
+FAILED_RESULTS = [{"lhs": "2y+20+2y^-1", "n": n, "name": name, "passed": False,
+                   "rhs": "2y+21+2y^-1", "supertrace_t": "2t+20"}
+                  for n, name in enumerate(builtin_names(), 1)]
+FAILED_VERIFY_OUTPUT = {
+    ("K3", "text"): "FAIL  ST(t=y+1/y) = 2y+20+2y^-1 != 2y+21+2y^-1 = chi_{-y}/y^1\n",
+    ("K3", "csv"): "name,n,passed,supertrace_t,lhs,rhs\nK3,1,False,2t+20,2y+20+2y^-1,2y+21+2y^-1\n",
+    ("K3", "json"): json.dumps({"all_passed": False, "command": "verify",
+                                "results": FAILED_RESULTS[:1]}, indent=2, sort_keys=True) + "\n",
+    ("all", "text"): "".join(f"{r['name']}: FAIL  ST(t=y+1/y) = 2y+20+2y^-1 != 2y+21+2y^-1"
+                             f" = chi_{{-y}}/y^{r['n']}\n" for r in FAILED_RESULTS)
+                     + "FAILURES present\n",
+    ("all", "csv"): "name,n,passed,supertrace_t,lhs,rhs\n" + "".join(
+        f"{r['name']},{r['n']},False,2t+20,2y+20+2y^-1,2y+21+2y^-1\n" for r in FAILED_RESULTS),
+    ("all", "json"): json.dumps({"all_passed": False, "command": "verify",
+                                 "results": FAILED_RESULTS}, indent=2, sort_keys=True) + "\n",
+}
+
+
+@pytest.mark.parametrize("source, fmt", sorted(FAILED_VERIFY_OUTPUT), ids="-".join)
+def test_failed_identity_output_is_pinned(capsys, monkeypatch, source, fmt):
+    # The FAIL line, the summary line and their CSV and JSON forms.
+    import hkgenus.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "verify_supertrace_identity", failing_report)
+    argv = ("--all-builtin",) if source == "all" else ("--manifold", "K3")
+    code, out, err = run(capsys, "verify", *argv, "--format", fmt)
+    assert (code, out, err) == (2, FAILED_VERIFY_OUTPUT[source, fmt], "")
 
 
 def test_verify_requires_a_source(capsys):
@@ -140,6 +179,20 @@ def test_rr_non_integral_huge_data_ends_in_one_short_error_line():
     assert "9" * 200 not in completed.stderr and "3" * 200 not in completed.stderr
 
 
+@pytest.mark.parametrize("flag", ["--n", "--c2", "--c2sq", "--c4"])
+def test_rr_integer_flags_are_read_by_the_boundary(capsys, flag):
+    for value, error in [("x", f"error: {flag} 'x' is not an integer\n"),
+                         ("9" * 5000, f"error: {flag} has 5000 digits; at most 4300 are accepted\n")]:
+        code, out, err = run(capsys, "rr", "--n", "1", flag, value)
+        assert (code, out, err) == (1, "", error)
+
+
+def test_rr_integer_flags_take_what_int_takes(capsys):
+    expected = run(capsys, "rr", "--n", "1", "--c2", "12", "--manifold", "K3")
+    assert expected[0] == 2
+    assert run(capsys, "rr", "--n", " 1 ", "--c2", "1_2", "--manifold", "K3") == expected
+
+
 def test_rr_missing_monomial_exit_1(capsys):
     code, _, err = run(capsys, "rr", "--n", "2", "--c4", "324")
     assert code == 1
@@ -208,6 +261,42 @@ def test_usage_errors_exit_1(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert len(err.splitlines()) == 1 and err.startswith(first), argv
+
+
+MANIFOLD_OPTIONS = {"--input": None, "--manifold": None, "--strict": False}
+# Per subcommand: its options with their defaults, and the required ones.
+PARSER_SHAPE = {
+    "chi": ({**MANIFOLD_OPTIONS}, []),
+    "strace": ({**MANIFOLD_OPTIONS, "--matrix": None}, []),
+    "verify": ({**MANIFOLD_OPTIONS, "--all-builtin": False}, []),
+    "decompose": ({**MANIFOLD_OPTIONS}, []),
+    "rw": ({**MANIFOLD_OPTIONS, "--matrix": None}, ["--matrix"]),
+    "rr": ({**MANIFOLD_OPTIONS, "--n": None, "--c2": None, "--c2sq": None, "--c4": None},
+           ["--n"]),
+    "catalog": ({}, []),
+}
+
+
+def test_parser_shape_is_pinned():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert list(action.choices) == list(PARSER_SHAPE)
+    for command, parser in action.choices.items():
+        options, required = PARSER_SHAPE[command]
+        actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+        assert {a.option_strings[0]: a.default for a in actions} == {
+            **options, "--format": "text"}, command
+        assert all(len(a.option_strings) == 1 for a in actions), command
+        assert sorted(a.option_strings[0] for a in actions if a.required) == required, command
+        assert next(a for a in actions if a.option_strings == ["--format"]).choices == ("text", "csv", "json")
+
+
+@pytest.mark.parametrize("command", list(PARSER_SHAPE))
+def test_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: hkgenus {command} [-h]")
 
 
 def test_unknown_builtin_exit_1(capsys):

@@ -27,6 +27,8 @@ _PER_FORMAT = (
     ("rw", "--manifold", "K3[3]", "--matrix", "0,-1;1,0"),
     ("rr", "--n", "2", "--c2sq", "828", "--c4", "324", "--manifold", "K3[2]"),
     ("catalog",),
+    # Integral but wrong Chern data: the MISMATCH rendering and exit code 2.
+    ("rr", "--n", "1", "--c2", "36", "--manifold", "K3"),
 )
 
 CASES = [list(argv) + ["--format", fmt]

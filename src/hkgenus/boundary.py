@@ -2,7 +2,8 @@
 
 ``is_int`` says what counts as an integer, ``quote`` how a caller's value
 enters an error message (an int past ``3 * SHORT`` bits by its size, anything
-else by its ``repr`` cut by ``shorten``), ``write_json`` how JSON is written.
+else by its ``repr`` cut by ``shorten``), ``json_text`` what canonical JSON
+is: ``write_json`` writes it to a file and the CLI prints it.
 The limits on what comes in:
 
 * a JSON file holds at most ``MAX_INPUT_CHARS`` characters of UTF-8 text;
@@ -98,9 +99,14 @@ def read_json(path):
         raise InputError(f"{where}: arrays or objects nested too deeply") from None
 
 
-def write_json(obj, path) -> None:
-    """Write ``obj`` as canonical JSON: sorted keys, two-space indent, final newline."""
+def json_text(obj) -> str:
+    """``obj`` as canonical JSON: sorted keys, two-space indent, no final newline."""
     import json
 
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def write_json(obj, path) -> None:
+    """Write ``json_text(obj)`` and a final newline."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        handle.write(json_text(obj) + "\n")

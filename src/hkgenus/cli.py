@@ -9,8 +9,11 @@ is honored trivially.
 Each subcommand is declared once: an ``add_parser`` site in ``build_parser``
 that attaches its ``_cmd_*`` handler with ``set_defaults(handler=...)``.  A
 handler takes the parsed arguments and returns ``(payload, lines, code)``:
-the payload dict that JSON and CSV are written from, the lines of the text
-form, and the exit code.
+the payload dict that JSON and CSV are written from (without ``"command"``),
+the lines of the text form, and the exit code.  ``main`` is the one exit
+path: it names the command and renders, and it maps ``InputError``, the
+interpreter's digit-limit refusal and ``OSError`` to exit code 1 and
+``InternalInconsistencyError`` to 3.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import sys
 from functools import partial
 
 from . import catalog as catalog_mod
-from .boundary import SHORT, digit_limit, is_digit_limit_error, parse_int, quote, shorten
+from .boundary import (
+    SHORT, digit_limit, is_digit_limit_error, json_text, parse_int, quote, shorten)
 from .errors import InputError, InternalInconsistencyError
 from .hodge import ValidationLevel
 from .laurent import substitute_y_plus_yinv
@@ -117,6 +121,8 @@ def _resolve_manifold(args, required=True):
         return catalog_mod.load_manifold(path, level)
     if required:
         raise InputError("a manifold is required: pass --manifold NAME or --input PATH")
+    if args.strict:
+        raise InputError("--strict needs a manifold: pass --manifold NAME or --input PATH")
     return None
 
 
@@ -129,7 +135,6 @@ def _cmd_chi(args):
     chi_y, chi_minus_y = genus.to_string("y"), genus.negate_variable().to_string("y")
     values = d.classical_values()
     payload = {
-        "command": "chi",
         "name": record.name,
         "n": d.n,
         "chi_y": chi_y,
@@ -152,8 +157,7 @@ def _cmd_chi(args):
 def _cmd_strace(args):
     record = _resolve_manifold(args)
     s_t = supertrace_polynomial(record.diamond).to_string("t")
-    payload = {"command": "strace", "name": record.name, "n": record.diamond.n,
-               "supertrace_t": s_t}
+    payload = {"name": record.name, "n": record.diamond.n, "supertrace_t": s_t}
     line = f"S(t)={s_t}"
     if args.matrix is not None:
         u = SL2Element.from_string(args.matrix)
@@ -187,7 +191,7 @@ def _cmd_verify(args):
     all_passed = all(r["passed"] for r in results)
     if len(records) > 1:
         lines.append("all passed" if all_passed else "FAILURES present")
-    payload = {"command": "verify", "results": results, "all_passed": all_passed}
+    payload = {"results": results, "all_passed": all_passed}
     return payload, lines, EXIT_OK if all_passed else EXIT_IDENTITY
 
 
@@ -204,7 +208,6 @@ def _cmd_decompose(args):
         for p, row in enumerate(table.rows)
     ]
     payload = {
-        "command": "decompose",
         "name": record.name,
         "n": table.n,
         "primitive": [list(row) for row in table.rows],
@@ -227,7 +230,6 @@ def _cmd_rw(args):
     result = rozansky_witten_invariant(record.diamond, u)
     s_t = result.supertrace.to_string("t")
     payload = {
-        "command": "rw",
         "name": record.name,
         "n": record.diamond.n,
         "matrix": u.to_string(),
@@ -253,7 +255,6 @@ def _cmd_rr(args):
         raise InternalInconsistencyError(
             "y^n * S(y + 1/y) disagrees with the chi_{-y} pipeline")
     payload = {
-        "command": "rr",
         "n": args.n,
         "chern": dict(data.values),
         "chi_minus_y": chi_neg.to_string("y"),
@@ -304,7 +305,7 @@ def _cmd_catalog(args):
                         "todd": values.todd_genus, "signature": values.signature})
         lines.append(f"{name:<8} {n:>2} {values.euler:>8} {values.todd_genus:>6}"
                      f" {values.signature:>10}")
-    return {"command": "catalog", "entries": entries}, lines, EXIT_OK
+    return {"entries": entries}, lines, EXIT_OK
 
 
 # -- rendering -----------------------------------------------------------------
@@ -322,8 +323,7 @@ def _flatten(payload, prefix=""):
     return rows
 
 
-def _csv_rows(payload):
-    command = payload["command"]
+def _csv_rows(command, payload):
     if command == "catalog":
         yield ("name", "n", "euler", "todd", "signature")
         for e in payload["entries"]:
@@ -339,49 +339,29 @@ def _csv_rows(payload):
                 yield (rep["p"], rep["dimension"], q, value)
     else:
         yield ("field", "value")
-        for key, value in _flatten(payload):
-            if key == "command":
-                continue
-            yield (key, value)
+        yield from _flatten(payload)
 
 
-def render(payload, lines, fmt: str) -> str:
-    """JSON and CSV are written from ``payload`` alone; text joins ``lines``."""
+def render(command, payload, lines, fmt: str) -> str:
+    """JSON and CSV are written from ``command`` and ``payload``; text joins ``lines``."""
     if fmt == "json":
-        import json
-
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json_text({"command": command, **payload})
     if fmt == "csv":
         import csv
         import io
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(_csv_rows(payload))
+        writer.writerows(_csv_rows(command, payload))
         return buffer.getvalue().rstrip("\n")
     return "\n".join(lines)
 
 
-def _run(args) -> tuple[str, int]:
-    """Run the subcommand and render its result as the requested format."""
-    try:
-        payload, lines, code = args.handler(args)
-        return render(payload, lines, args.format), code
-    except ValueError as exc:
-        # Large inputs can give results with more digits than the interpreter
-        # writes as text (the value of S at a huge trace, say).
-        if not is_digit_limit_error(exc):
-            raise
-        raise InputError(
-            f"a result has more than {digit_limit()} digits, "
-            "the most the interpreter writes as text") from None
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        text, code = _run(args)
+        args = build_parser().parse_args(argv)
+        payload, lines, code = args.handler(args)
+        text = render(args.command, payload, lines, args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -390,6 +370,14 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except OSError as exc:  # it quotes the path, which may be arbitrarily long
         print(f"error: {shorten(str(exc), 2 * SHORT)}", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:
+        # Large inputs can give results with more digits than the interpreter
+        # writes as text (the value of S at a huge trace, say).
+        if not is_digit_limit_error(exc):
+            raise
+        print(f"error: a result has more than {digit_limit()} digits, "
+              "the most the interpreter writes as text", file=sys.stderr)
         return EXIT_INPUT
     print(text)
     return code

@@ -67,8 +67,8 @@ def _supported_n(n) -> int:
         raise InputError(f"n must be an integer, got {quote(n)}")
     if n not in _SUPPORTED_N:
         raise InputError(
-            f"unsupported n = {quote(n)}; Chern monomial bases are available for "
-            f"n in {_SUPPORTED_N}")
+            f"unsupported n = {quote(n)}; the public Riemann-Roch functions are provided "
+            f"for n in {_SUPPORTED_N}")
     return n
 
 

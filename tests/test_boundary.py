@@ -77,8 +77,8 @@ def test_primitive_multiplicities_lists_a_bounded_number_of_violations():
 
 
 def _rule_breaks(path):
-    """Calls ``isinstance(..., bool)``, a ``type=int`` keyword, and ``repr(`` or
-    ``!r`` inside a raise."""
+    """Calls ``isinstance(..., bool)``, a ``type=int`` keyword, ``repr(`` or
+    ``!r`` inside a raise, and ``json.dump(s)`` or ``json.load(s)``."""
     tree = ast.parse(path.read_text(), str(path))
     for node in ast.walk(tree):
         if (isinstance(node, ast.keyword) and node.arg == "type"
@@ -90,6 +90,10 @@ def _rule_breaks(path):
                 and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
                 and path.name != "boundary.py"):
             yield f"{path.name}:{node.lineno}: isinstance(..., bool); use boundary.is_int"
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "json" and node.attr in ("dump", "dumps", "load", "loads")
+                and path.name != "boundary.py"):
+            yield f"{path.name}:{node.lineno}: json.{node.attr}; use boundary.json_text or read_json"
         if isinstance(node, ast.Raise) and node.exc is not None:
             for inner in ast.walk(node.exc):
                 if (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
@@ -113,6 +117,7 @@ def test_rule_check_sees_each_kind_of_break(tmp_path):
         "    if isinstance(x, (int, bool)):\n"
         "        raise ValueError(f'bad {x!r}')\n"
         "    raise ValueError('bad ' + repr(x))\n"
-        "    parser.add_argument('--n', type=int)\n")
+        "    parser.add_argument('--n', type=int)\n"
+        "    return json.dumps(x, indent=2, sort_keys=True)\n")
     assert sorted(line.split(": ", 1)[0] for line in _rule_breaks(path)) == [
-        "sample.py:2", "sample.py:3", "sample.py:4", "sample.py:5"]
+        "sample.py:2", "sample.py:3", "sample.py:4", "sample.py:5", "sample.py:6"]

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from hkgenus.boundary import digit_limit
 from hkgenus.catalog import ManifoldRecord, builtin, builtin_names, save_manifold
 from hkgenus.cli import build_parser, main
 from hkgenus.hodge import HodgeDiamond
@@ -257,6 +258,8 @@ def test_usage_errors_exit_1(capsys):
         (("rr", "--n", "1", "--c2", "24", "--manifold", ""), "error: unknown built-in ''"),
         (("chi", "--manifold", "", "--input", "f"), "error: exactly one manifold source"),
         (("catalog", "--strict"), "error: unrecognized arguments: --strict"),
+        (("rr", "--n", "1", "--c2", "24", "--strict"),
+         "error: --strict needs a manifold: pass --manifold NAME or --input PATH"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -326,6 +329,20 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal inconsistency" in err
+
+
+def test_other_value_errors_propagate(capsys, monkeypatch):
+    # Only the interpreter's digit-limit refusal is an input error; any other
+    # ValueError is a bug and leaves main with its traceback.
+    import hkgenus.cli as cli_mod
+
+    def boom(_diamond):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli_mod, "supertrace_polynomial", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["strace", "--manifold", "K3"])
+    assert capsys.readouterr().out == ""
 
 
 def test_module_entry_point_subprocess():
@@ -417,6 +434,8 @@ def test_oversized_result_is_an_input_error_in_every_format(capsys, fmt):
     assert out == ""
     assert err.startswith("error: a result has more than") and err.count("\n") == 1
     assert len(err) <= 200
+    assert err == (f"error: a result has more than {digit_limit()} digits, "
+                   "the most the interpreter writes as text\n")
 
 
 def test_long_manifold_name_ends_in_one_short_error_line(tmp_path):

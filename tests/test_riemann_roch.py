@@ -393,3 +393,29 @@ def test_libgober_wood_relation_holds_on_every_hyperkahler_genus():
     for n in range(1, 6):
         d = random_structural_diamond(rng, n)
         assert libgober_wood(n, dict(d.chi_y().terms())) != 0, n
+
+
+def rank(rows):
+    """Rank of a matrix of Fractions, by exact row reduction."""
+    rows, r = [list(row) for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][col] / rows[r][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def test_libgober_wood_vector_spans_the_left_kernel():
+    # The y^0..y^n coefficients of chi_{-y} (the palindromic half) against the
+    # Chern monomials have rank n: of the n + 1 coefficients, exactly one
+    # linear relation holds on every column, and the test above shows it is
+    # the Libgober-Wood one.
+    for n in range(1, 9):
+        columns = [dict(column) for _, column in _symbolic_coefficients(n, "genus")]
+        matrix = [[Fraction(column.get(p, 0)) for column in columns] for p in range(n + 1)]
+        assert rank(matrix) == n, n

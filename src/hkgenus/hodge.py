@@ -27,10 +27,11 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .boundary import is_int, quote
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, InputError, ValidationError
 from .laurent import LaurentPolynomial
 
 MAX_LISTED = 20  # violations a failure message lists; it counts the rest
@@ -95,7 +96,11 @@ class HodgeDiamond:
     (``validate``, ``require_valid``, ``chi_y``, the primitive decomposition)
     reads the stored results; they are not fields and take no part in ``==``,
     ``hash`` or ``repr``.  ``hkgenus.lefschetz`` keeps the checked primitive
-    table and S(t) on the diamond in the same way.
+    table and S(t) on the diamond in the same way.  A row p > n that is the
+    same object as row 2n-p (as ``reconstruct_diamond`` builds them) is not
+    type-checked again.  Once column symmetry holds, rows p > n are copies of
+    rows p <= n, so the scan's conjugation and sign checks and the genus read
+    rows p <= n only.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -109,7 +114,10 @@ class HodgeDiamond:
             raise DimensionMismatchError(
                 f"table side must be odd and at least 3 (real dimension 4n, n >= 1); got {side}"
             )
+        n = side // 2
         for p, row in enumerate(rows):
+            if p > n and row is rows[2 * n - p]:
+                continue  # the same object as row 2n-p, which passed these checks
             if len(row) != side:
                 raise DimensionMismatchError(
                     f"row {p} has length {len(row)}, expected {side}"
@@ -155,10 +163,11 @@ class HodgeDiamond:
     @cached_property
     def _symmetry_scan(self) -> tuple[Violation, ...]:
         n, rows = self.n, self.rows
-        # Whole-table comparisons settle the common case of a valid table:
-        # column symmetry reverses the order of the rows, conjugation
-        # transposes, and the two together imply Serre duality.
-        if min(map(min, rows)) >= 0 and rows == rows[::-1] and rows == tuple(zip(*rows)):
+        # Whole-table comparisons settle the common case of a valid table.  Given
+        # column symmetry (row p > n is row 2n-p), conjugation and nonnegativity of
+        # rows p <= n imply both on every row, and with them Serre duality.
+        if (rows[:n] == rows[:n:-1] and rows[:n + 1] == tuple(islice(zip(*rows), n + 1))
+                and min(map(min, rows[:n + 1])) >= 0):
             return ()
         found = [Violation("negative_entry", p, q, f"h^{{{p},{q}}} = {quote(h)} is negative")
                  for p, row in enumerate(rows) for q, h in enumerate(row) if h < 0]
@@ -198,8 +207,11 @@ class HodgeDiamond:
 
         STRUCTURAL: nonnegative entries, the three symmetries, and (when the
         symmetries hold) nonnegativity of every primitive multiplicity.
-        STRICT: STRUCTURAL plus the irreducibility corner values.
+        STRICT: STRUCTURAL plus the irreducibility corner values.  Any other
+        ``level``, such as the string ``"strict"``, raises InputError.
         """
+        if not isinstance(level, ValidationLevel):
+            raise InputError(f"level must be a ValidationLevel, got {quote(level)}")
         found = self.symmetry_violations() or self._negative_primitives
         if level is ValidationLevel.STRICT:
             found += tuple(
@@ -216,15 +228,20 @@ class HodgeDiamond:
 
     # -- genus ---------------------------------------------------------------
 
+    def _genus_coefficients(self) -> list[int]:
+        """sum_q (-1)^q h^{p,q} for p = 0..2n, after STRUCTURAL validation."""
+        self.require_valid(ValidationLevel.STRUCTURAL)
+        half = [sum(row[0::2]) - sum(row[1::2]) for row in self.rows[:self.n + 1]]
+        return half + half[-2::-1]  # validated column symmetry: row 2n-p is row p
+
     def chi_y(self) -> LaurentPolynomial:
         """The chi_y genus: coefficient of y^p is sum_q (-1)^q h^{p,q}.
 
         Requires STRUCTURAL validity; the result has degree at most 2n and
-        equal leading and trailing coefficients (column symmetry).
+        equal leading and trailing coefficients (column symmetry).  Only rows
+        p <= n are summed: validation checked that row 2n-p repeats row p.
         """
-        self.require_valid(ValidationLevel.STRUCTURAL)
-        coeffs = {p: sum(row[0::2]) - sum(row[1::2]) for p, row in enumerate(self.rows)}
-        return LaurentPolynomial(coeffs)
+        return LaurentPolynomial(dict(enumerate(self._genus_coefficients())))
 
     def classical_values(self) -> ClassicalValues:
         """(Euler characteristic, Todd genus, signature) = chi_y at -1, 0, 1."""
@@ -239,6 +256,9 @@ class HodgeDiamond:
         """chi_{-y} / y^n, a palindromic Laurent polynomial in y.
 
         Palindromicity (invariance under y -> 1/y) is exactly the column
-        symmetry h^{p,q} = h^{2n-p,q} read through the genus.
+        symmetry h^{p,q} = h^{2n-p,q} read through the genus.  Built directly
+        from the row sums of :meth:`chi_y`, which read rows p <= n only.
         """
-        return self.chi_y().negate_variable().shifted(-self.n)
+        n = self.n
+        return LaurentPolynomial({p - n: -c if p % 2 else c
+                                  for p, c in enumerate(self._genus_coefficients())})

@@ -44,7 +44,7 @@ class LaurentPolynomial:
     __slots__ = ("_terms", "_key")
 
     def __init__(self, terms: Coefficients = ()):
-        terms = dict(terms)
+        terms = terms if type(terms) is dict else dict(terms)  # only read: ``cleaned`` is new
         # Exact ``int`` everywhere passes one set test; anything else gets the
         # full per-term check, which raises at the first bad term in order.
         if not {*map(type, terms), *map(type, terms.values())} <= {int}:

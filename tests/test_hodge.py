@@ -1,11 +1,12 @@
 """Unit tests for Hodge diamonds, validation levels and the chi_y genus."""
 
 import dataclasses
+import json
 
 import pytest
 
-from hkgenus.catalog import builtin
-from hkgenus.errors import DimensionMismatchError, ValidationError
+from hkgenus.catalog import builtin, load_manifold
+from hkgenus.errors import DimensionMismatchError, InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond, ValidationLevel
 from hkgenus.laurent import LaurentPolynomial
 
@@ -133,6 +134,8 @@ def test_entry_type_errors_name_the_first_bad_entry():
         (((1, 0.5, 1), (0, 20, 0), (1, 0)), "entry (0, 1) is not an integer: 0.5"),
         (((1, 0, 1), (0, 20, False), (1, 0, 1)), "entry (1, 2) is not an integer: False"),
         (((1, 0, 1), (0, 20, 0), (1, -1, 1.0)), "entry (2, 2) is not an integer: 1.0"),
+        # Equal to its mirror row 0 but not the same object: still checked.
+        (((1, 0, 1), (0, 20, 0), (1.0, 0, 1)), "entry (2, 0) is not an integer: 1.0"),
     ]
     for rows, message in cases:
         with pytest.raises(DimensionMismatchError) as info:
@@ -202,3 +205,56 @@ def test_pretty_print_shape():
     assert len(lines) == 5  # antidiagonals of a 3x3 table
     assert lines[0].strip() == "1"
     assert lines[2].split() == ["1", "20", "1"]
+
+
+@pytest.mark.parametrize("level", ["strict", "STRICT", "structural", None, 1])
+def test_a_level_that_is_not_a_validation_level_is_refused(level, tmp_path):
+    # The torus passes STRUCTURAL and fails STRICT, so a level read as
+    # STRUCTURAL, or left unchecked, would let it through in silence.
+    torus = HodgeDiamond(TORUS_ROWS)
+    message = f"level must be a ValidationLevel, got {level!r}"
+    with pytest.raises(InputError) as info:
+        torus.require_valid(level)
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        torus.validate(level)
+    assert str(info.value) == message
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"name": "T4", "n": 1, "hodge": [list(r) for r in TORUS_ROWS]}))
+    with pytest.raises(InputError) as info:
+        load_manifold(path, level=level)
+    assert str(info.value) == message
+    assert load_manifold(path).diamond.rows == TORUS_ROWS
+    with pytest.raises(ValidationError):
+        load_manifold(path, level=ValidationLevel.STRICT)
+
+
+def test_shared_row_objects_make_the_same_table_as_copies():
+    corner = (1, 0, 1)
+    shared = HodgeDiamond((corner, (0, 20, 0), corner))
+    assert shared.rows[0] is shared.rows[2]
+    row = (1, 2, 3, 2, 1)
+    reused = HodgeDiamond((row, row, (2, 4, 6, 4, 2), row, row))
+    for table, copies in ((shared, [[1, 0, 1], [0, 20, 0], [1, 0, 1]]),
+                          (reused, [list(row), list(row), [2, 4, 6, 4, 2], list(row), list(row)])):
+        copied = HodgeDiamond(copies)  # each list becomes its own tuple
+        assert len({id(r) for r in copied.rows}) == copied.side
+        assert table == copied
+        assert hash(table) == hash(copied)
+        assert repr(table) == repr(copied)
+        assert table.validate() == copied.validate()
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ((0, 20.0, 0, 20, 0), "entry (1, 1) is not an integer: 20.0"),
+    ((0, 20, 0, 20), "row 1 has length 4, expected 5"),
+    ((0, None, True, 0, 0), "entry (1, 1) is not an integer: None"),
+])
+def test_a_shared_bad_row_is_reported_at_its_first_position(bad_row, message):
+    good = (1, 0, 1, 0, 1)
+    shared = (good, bad_row, good, bad_row, good)
+    copies = [list(good), list(bad_row), list(good), list(bad_row), list(good)]
+    for rows in (shared, copies):
+        with pytest.raises(DimensionMismatchError) as info:
+            HodgeDiamond(rows)
+        assert str(info.value) == message

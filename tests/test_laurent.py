@@ -1,7 +1,9 @@
 """Unit tests for exact Laurent polynomial arithmetic."""
 
+import collections
 import doctest
 import random
+import types
 
 import pytest
 
@@ -157,6 +159,29 @@ def test_constructor_error_names_the_first_bad_term(terms, bad):
     with pytest.raises(TypeError) as info:
         LaurentPolynomial(terms)
     assert str(info.value) == f"expected an integer, got {bad}"
+
+
+def test_constructor_keeps_no_reference_to_its_argument():
+    terms = {2: 3, 0: 1}
+    p = LaurentPolynomial(terms)
+    terms[2] = 99
+    terms[5] = 1
+    del terms[0]
+    assert p == LaurentPolynomial({0: 1, 2: 3})
+    assert list(p.terms()) == [(0, 1), (2, 3)]
+    assert repr(p) == "LaurentPolynomial({0: 1, 2: 3})"
+
+
+def test_constructor_takes_mappings_and_pairs():
+    expected = LaurentPolynomial({-1: 2, 3: -4})
+    assert LaurentPolynomial(types.MappingProxyType({-1: 2, 3: -4, 7: 0})) == expected
+    assert LaurentPolynomial(collections.OrderedDict([(3, -4), (-1, 2)])) == expected
+    assert LaurentPolynomial(collections.Counter({-1: 2, 3: -4})) == expected
+    assert LaurentPolynomial([(-1, 2), (3, -4), (0, 0)]) == expected
+    assert LaurentPolynomial(iter([(3, -4), (-1, 2)])) == expected
+    assert LaurentPolynomial() == LaurentPolynomial({}) == LaurentPolynomial.zero()
+    with pytest.raises(TypeError):
+        LaurentPolynomial(types.MappingProxyType({1: 2.0}))
 
 
 def test_scalar_product_rejects_bool():

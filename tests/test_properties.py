@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkgenus.hodge import HodgeDiamond, ValidationLevel
+from hkgenus.catalog import builtin, builtin_names
+from hkgenus.hodge import HodgeDiamond, ValidationLevel, Violation
 from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
 from hkgenus.lefschetz import (
     primitive_multiplicities,
@@ -157,7 +158,7 @@ def test_random_diamonds_are_structural_and_satisfy_the_identity(seed, n):
     assert verify_supertrace_identity(diamond).passed
 
 
-@given(st.integers(0, 10**9), st.integers(1, 4),
+@given(st.integers(0, 10**9), st.integers(1, 6),
        st.sets(st.sampled_from(["serre", "conjugation", "column"])), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_symmetry_scan_is_empty_exactly_on_symmetric_nonnegative_tables(
@@ -183,3 +184,64 @@ def test_symmetry_scan_is_empty_exactly_on_symmetric_nonnegative_tables(
         for p in range(top + 1) for q in range(top + 1))
     diamond = HodgeDiamond(tuple(map(tuple, rows)))
     assert (diamond.symmetry_violations() == ()) == expected_ok
+
+
+def reference_scan(rows) -> list[Violation]:
+    """Every cell of the table checked on its own: negative entries first, then
+    each cell's Serre, conjugation and column-symmetry partners, in row order."""
+    top = len(rows) - 1
+    found = [Violation("negative_entry", p, q, f"h^{{{p},{q}}} = {h} is negative")
+             for p, row in enumerate(rows) for q, h in enumerate(row) if h < 0]
+    for p, row in enumerate(rows):
+        for q, h in enumerate(row):
+            for kind, r, s in (("serre", top - p, top - q), ("conjugation", q, p),
+                               ("column_symmetry", top - p, q)):
+                if h != rows[r][s]:
+                    found.append(Violation(kind, p, q, f"h^{{{p},{q}}} = {h} != {rows[r][s]} = h^{{{r},{s}}}"))
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("seed", range(8))
+def test_scan_sees_a_lower_right_cell_moved_with_its_column_image(n, seed):
+    # The cell (p, q) with p > n and q > n and its column-symmetry image
+    # (2n - p, q) move together, so every row still equals its mirror row:
+    # of the scan's whole-table comparisons only conjugation on rows p <= n
+    # can see the change, and the cell-by-cell loop must then report it all.
+    rng = random.Random(seed)
+    rows = [list(r) for r in random_structural_diamond(rng, n).rows]
+    top = 2 * n
+    p, q = rng.randint(n + 1, top), rng.randint(n + 1, top)
+    step = rng.choice((1, -1, 2))
+    rows[p][q] += step
+    rows[top - p][q] += step
+    violations = HodgeDiamond(rows).symmetry_violations()
+    assert violations
+    assert list(violations) == reference_scan(rows)
+    assert {v.kind for v in violations} >= {"serre", "conjugation"}
+
+
+def genus_reference(d: HodgeDiamond) -> LaurentPolynomial:
+    """chi_y summed over all 2n + 1 rows, with no use of the column symmetry."""
+    return LaurentPolynomial({p: sum((-1) ** q * h for q, h in enumerate(row))
+                              for p, row in enumerate(d.rows)})
+
+
+def check_genus_shortcuts(d: HodgeDiamond) -> None:
+    genus = d.chi_y()
+    assert genus == genus_reference(d)
+    assert d.normalized_genus() == genus.negate_variable().shifted(-d.n)
+
+
+@given(st.integers(0, 10**9), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_genus_from_half_the_rows_is_the_all_rows_genus(seed, n):
+    d = random_structural_diamond(random.Random(seed), n)
+    check_genus_shortcuts(d)
+    # Rows p > n of the reconstruction are the same objects as rows 2n - p.
+    check_genus_shortcuts(reconstruct_diamond(primitive_multiplicities(d)))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_genus_from_half_the_rows_is_the_all_rows_genus(name):
+    check_genus_shortcuts(builtin(name).diamond)

@@ -17,7 +17,8 @@ from hkgenus import (
 )
 
 ##############################################################################
-# Characters from the recursion t_{r+1} = t * t_r - t_{r-1}.
+# Characters, defined by the recursion t_{r+1} = t * t_r - t_{r-1} and
+# computed from its closed form sum_j (-1)^j C(r-1-j, j) t^(r-1-2j).
 
 print("characters of the r-dimensional irreducibles:")
 for r in range(1, 7):

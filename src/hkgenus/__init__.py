@@ -18,6 +18,13 @@ See the demos/ directory for narrative walkthroughs of each capability and
 the ``hkgenus`` command line for batch use.  ``series`` and ``sampling``,
 which no command runs, are imported on first use of the module or of one of
 its names, so a command line call does not pay for them.
+
+Every module-level memo (the characters t_r, the built-in catalog, the
+Goettsche expansions, the Riemann-Roch tables) is a ``functools.cache`` of a
+pure function, whose ``cache_info()`` counts hits and misses; a diamond keeps
+its own scan, primitive table and S(t).  Values are deterministic and no lock
+is taken: threads racing on a cold entry may compute it twice, and every
+caller still gets an equal value.
 """
 
 import importlib

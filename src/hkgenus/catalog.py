@@ -30,7 +30,6 @@ are read through ``boundary.read_json``, which states the size limits.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -142,8 +141,10 @@ def _goettsche_tables(base: HodgeDiamond, n_max: int) -> Iterator[tuple[tuple[in
 def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]:
     """Hodge diamonds of the Hilbert schemes of 1..n_max points on a surface.
 
-    ``base`` must be a 3x3 surface table and n_max at most 5 (the catalog's
-    desk scale).  The diamonds are the z-coefficients of Goettsche's product,
+    ``base`` must be a 3x3 surface table that passes STRICT validation (a
+    K3-type surface, ((1,0,1),(0,h,0),(1,0,1)) with h >= 0), else it raises
+    ValidationError, an InputError; n_max is at most 5 (the catalog's desk
+    scale).  The diamonds are the z-coefficients of Goettsche's product,
     expanded by an exact integer recurrence (``_goettsche_tables``), and are
     named after ``base`` (``S[1]``, ``S[2]``, ... for a base named ``S``).  A
     division by m with a remainder, a term past degree 2m, or an emitted
@@ -156,12 +157,13 @@ def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]
     # Checked before the cache lookup, where True and 1 would share a key.
     if base.n != 1:
         raise InputError(f"base must be a surface (3x3 table), got n = {base.n}")
+    base.require_valid(ValidationLevel.STRICT)
     if not is_int(n_max) or not 1 <= n_max <= MAX_HILBERT_POINTS:
         raise InputError(f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {quote(n_max)}")
     return _goettsche_expand(base, n_max, base.name)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _goettsche_expand(base: HodgeDiamond, n_max: int, name: str | None) -> tuple[HodgeDiamond, ...]:
     # ``name`` is part of the key because diamond equality ignores names.
     diamonds = []
@@ -187,11 +189,9 @@ goettsche_expand.cache_clear = _goettsche_expand.cache_clear
 #: Riemann-Roch output against the Hodge-side genus (see tests and demo 05).
 _K3_2_CHERN = {"c2^2": 828, "c4": 324}
 
-_BUILTIN_LOCK = threading.Lock()
-_BUILTIN_CACHE: dict[str, ManifoldRecord] | None = None
 
-
-def _build_catalog() -> dict[str, ManifoldRecord]:
+@functools.cache
+def _catalog() -> dict[str, ManifoldRecord]:
     k3 = _k3_diamond()
     records = {
         "K3": ManifoldRecord(
@@ -214,15 +214,6 @@ def _build_catalog() -> dict[str, ManifoldRecord]:
             provenance=f"Hilbert scheme of {m} points: Goettsche expansion of the K3 seed",
         )
     return records
-
-
-def _catalog() -> dict[str, ManifoldRecord]:
-    global _BUILTIN_CACHE
-    if _BUILTIN_CACHE is None:
-        with _BUILTIN_LOCK:
-            if _BUILTIN_CACHE is None:
-                _BUILTIN_CACHE = _build_catalog()
-    return _BUILTIN_CACHE
 
 
 def builtin_names() -> tuple[str, ...]:

@@ -81,7 +81,7 @@ def _partitions(n: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The degree-2n monomials in even Chern classes, one per partition of n.
 
@@ -226,7 +226,7 @@ def _pair_series(n: int, kind: str) -> list[Poly]:
     return normalised
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _symbolic_coefficients(n: int, kind: str) -> tuple[tuple[str, tuple[tuple[int, Fraction], ...]], ...]:
     """The degree-2n integrand of ``kind`` per Chern monomial, for any n >= 1."""
     from fractions import Fraction

@@ -4,18 +4,21 @@ The graded trace machinery never extracts eigenvalues as numbers: for trace t
 with |t| <= 1 they are complex, for |t| >= 3 quadratic irrationals.  Instead
 everything is expressed through the character polynomials t_r (the trace of an
 element in the r-dimensional irreducible representation), which satisfy the
-Chebyshev-style recursion
+Chebyshev-style recursion that defines them,
 
     t_1 = 1,  t_2 = t,  t_{r+1} = t * t_r - t_{r-1},
 
-with the convention t_r = 0 for r <= 0.  The bridge to eigenvalues is the
-exact substitution t = y + 1/y (equivalently t*y = y^2 + 1, the characteristic
-polynomial), under which t_{r+1} - t_{r-1} = y^r + y^-r.
+with the convention t_r = 0 for r <= 0.  They are computed from its closed
+form t_r = sum_j (-1)^j C(r-1-j, j) t^(r-1-2j), so each character is one
+polynomial built on first use, independent of the others.  The bridge to
+eigenvalues is the exact substitution t = y + 1/y (equivalently
+t*y = y^2 + 1, the characteristic polynomial), under which
+t_{r+1} - t_{r-1} = y^r + y^-r.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 from .boundary import is_int, parse_int, quote
@@ -94,16 +97,6 @@ def eigenvalue_polynomial(u: SL2Element) -> LaurentPolynomial:
     return LaurentPolynomial({2: 1, 1: -u.trace, 0: 1})
 
 
-# Character table in the trace variable, grown on demand.  Write-once cache
-# with deterministic contents, guarded for concurrent first use.
-_CHAR_LOCK = threading.Lock()
-_CHAR_TABLE: list[LaurentPolynomial] = [
-    LaurentPolynomial.zero(),   # r = 0
-    LaurentPolynomial.one(),    # r = 1
-    LaurentPolynomial.variable(),  # r = 2, the trace itself
-]
-
-
 def character(r: int) -> LaurentPolynomial:
     """The character t_r of the r-dimensional irreducible, as a polynomial in t.
 
@@ -113,13 +106,19 @@ def character(r: int) -> LaurentPolynomial:
         raise InputError(f"representation dimension must be an integer, got {quote(r)}")
     if r <= 0:
         return LaurentPolynomial.zero()
-    if r < len(_CHAR_TABLE):
-        return _CHAR_TABLE[r]
-    t = LaurentPolynomial.variable()
-    with _CHAR_LOCK:
-        while len(_CHAR_TABLE) <= r:
-            _CHAR_TABLE.append(t * _CHAR_TABLE[-1] - _CHAR_TABLE[-2])
-    return _CHAR_TABLE[r]
+    return _character(r)
+
+
+@functools.cache
+def _character(r: int) -> LaurentPolynomial:
+    """t_r for r >= 1 from the closed form, with C(m-j, j), m = r-1, kept running."""
+    m = r - 1
+    binom = 1
+    terms = {m: 1}
+    for j in range(1, m // 2 + 1):
+        binom = binom * (m - 2 * j + 2) * (m - 2 * j + 1) // (j * (m - j + 1))
+        terms[m - 2 * j] = -binom if j % 2 else binom
+    return LaurentPolynomial(terms)
 
 
 def verify_character_identity(r: int) -> bool:

@@ -78,9 +78,19 @@ def test_primitive_multiplicities_lists_a_bounded_number_of_violations():
 
 def _rule_breaks(path):
     """Calls ``isinstance(..., bool)``, a ``type=int`` keyword, ``repr(`` or
-    ``!r`` inside a raise, and ``json.dump(s)`` or ``json.load(s)``."""
+    ``!r`` inside a raise, ``json.dump(s)`` or ``json.load(s)``, and any
+    ``import threading``, ``global`` statement or ``lru_cache``."""
     tree = ast.parse(path.read_text(), str(path))
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "threading"):
+            yield f"{path.name}:{node.lineno}: import threading; memos take no lock"
+        if isinstance(node, ast.Global):
+            yield f"{path.name}:{node.lineno}: global; use a functools.cache function"
+        if (isinstance(node, ast.Name) and node.id == "lru_cache"
+                or isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+                or isinstance(node, ast.alias) and node.name == "lru_cache"):
+            yield f"{path.name}:{node.lineno}: lru_cache; use functools.cache"
         if (isinstance(node, ast.keyword) and node.arg == "type"
                 and isinstance(node.value, ast.Name) and node.value.id == "int"
                 and path.name != "boundary.py"):
@@ -118,6 +128,11 @@ def test_rule_check_sees_each_kind_of_break(tmp_path):
         "        raise ValueError(f'bad {x!r}')\n"
         "    raise ValueError('bad ' + repr(x))\n"
         "    parser.add_argument('--n', type=int)\n"
-        "    return json.dumps(x, indent=2, sort_keys=True)\n")
-    assert sorted(line.split(": ", 1)[0] for line in _rule_breaks(path)) == [
-        "sample.py:2", "sample.py:3", "sample.py:4", "sample.py:5", "sample.py:6"]
+        "    return json.dumps(x, indent=2, sort_keys=True)\n"
+        "import threading\n"
+        "from functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def g():\n"
+        "    global TABLE\n")
+    assert sorted(line.split(": ", 1)[0] for line in _rule_breaks(path)) == sorted(
+        f"sample.py:{line}" for line in (2, 3, 4, 5, 6, 7, 8, 9, 11))

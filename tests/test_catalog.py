@@ -147,7 +147,8 @@ def test_expansion_matches_the_truncated_series_product(entries, n_max):
     base = HodgeDiamond(((a, b, a), (b, c, b), (a, b, a)), name="S")
     expected = reference_tables(base, n_max)
     if not all(HodgeDiamond(rows).validate(ValidationLevel.STRICT).ok for rows in expected):
-        with pytest.raises(InternalInconsistencyError, match="invalid diamond at z"):
+        # z^1 is the base itself, so the base is refused before any expansion.
+        with pytest.raises(ValidationError, match=r"fail \(strict\)"):
             goettsche_expand(base, n_max)
         return
     got = goettsche_expand(base, n_max)
@@ -177,6 +178,16 @@ def test_a_remainder_in_the_recurrence_is_an_internal_inconsistency(monkeypatch)
     base = HodgeDiamond(((1, 0, 1), (0, 21, 0), (1, 0, 1)))
     with pytest.raises(InternalInconsistencyError, match="2 does not divide entry"):
         list(_goettsche_tables(base, 2))
+
+
+def test_an_emitted_diamond_that_fails_strict_is_an_internal_inconsistency(monkeypatch):
+    def doubled_corner(base, n_max):
+        yield ((2, 0, 1), (0, 23, 0), (1, 0, 2))
+
+    monkeypatch.setattr("hkgenus.catalog._goettsche_tables", doubled_corner)
+    base = HodgeDiamond(((1, 0, 1), (0, 23, 0), (1, 0, 1)), name="patched")
+    with pytest.raises(InternalInconsistencyError, match=r"invalid diamond at z\^1"):
+        goettsche_expand(base, 1)
 
 
 def egl_normalized_genera(h: int, m_max: int) -> list[dict[int, int]]:
@@ -235,6 +246,21 @@ def test_expand_argument_validation():
         goettsche_expand(k3, 0)
     with pytest.raises(InputError):
         goettsche_expand(k3, 6)  # truncation order above the supported scale
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),  # the projective plane
+    ((1, 0, 1), (0, -5, 0), (1, 0, 1)),
+    ((1, 2, 1), (2, 4, 2), (1, 2, 1)),  # the flat 4-torus
+    ((1, 0, 1), (0, 20, 0), (1, 0, 2)),
+])
+def test_a_base_that_fails_strict_is_an_input_error(rows):
+    base = HodgeDiamond(rows)
+    before = goettsche_expand.cache_info()
+    with pytest.raises(ValidationError) as info:
+        goettsche_expand(base, 2)
+    assert str(info.value) == base.validate(ValidationLevel.STRICT).summary()
+    assert goettsche_expand.cache_info() == before  # refused before the cache lookup
 
 
 @pytest.mark.parametrize("n_max", [2.0, "2", None, True, False])

@@ -127,6 +127,7 @@ def test_entry_type_errors_name_the_first_bad_entry():
         pass
 
     assert HodgeDiamond(((1, 0, 1), (0, Count(20), 0), (1, 0, 1))).rows[1][1] == 20
+    row = (0, 0, 0.5, 0, 0)
     cases = [
         (((1, 0, 1), (0, True, 0), (1, 0, 1)), "entry (1, 1) is not an integer: True"),
         (((1, 0, 1), (0, 20, 0), (1, None, "x")), "entry (2, 1) is not an integer: None"),
@@ -136,6 +137,8 @@ def test_entry_type_errors_name_the_first_bad_entry():
         (((1, 0, 1), (0, 20, 0), (1, -1, 1.0)), "entry (2, 2) is not an integer: 1.0"),
         # Equal to its mirror row 0 but not the same object: still checked.
         (((1, 0, 1), (0, 20, 0), (1.0, 0, 1)), "entry (2, 0) is not an integer: 1.0"),
+        # Row 3 is the same object as row 4, but its mirror row is row 1: checked.
+        (((1, 0, 1, 0, 1), (0,) * 5, (1, 0, 1, 0, 1), row, row), "entry (3, 2) is not an integer: 0.5"),
     ]
     for rows, message in cases:
         with pytest.raises(DimensionMismatchError) as info:
@@ -205,6 +208,19 @@ def test_pretty_print_shape():
     assert len(lines) == 5  # antidiagonals of a 3x3 table
     assert lines[0].strip() == "1"
     assert lines[2].split() == ["1", "20", "1"]
+    # Each antidiagonal is centred: its cells right-aligned to the widest entry.
+    assert lines == ["    1", "  0  0", " 1 20  1", "  0  0", "    1"]
+    assert str(builtin("K3[2]").diamond).splitlines() == [
+        "          1",
+        "        0   0",
+        "      1  21   1",
+        "    0   0   0   0",
+        "  1  21 232  21   1",
+        "    0   0   0   0",
+        "      1  21   1",
+        "        0   0",
+        "          1",
+    ]
 
 
 @pytest.mark.parametrize("level", ["strict", "STRICT", "structural", None, 1])

@@ -9,6 +9,7 @@ from hkgenus.laurent import LaurentPolynomial
 from hkgenus.sampling import random_sl2
 from hkgenus.sl2 import (
     SL2Element,
+    _character,
     character,
     eigenvalue_polynomial,
     verify_character_identity,
@@ -52,6 +53,25 @@ def test_character_base_cases_and_convention():
     assert character(2) == T
     assert character(0) == LaurentPolynomial.zero()
     assert character(-3) == LaurentPolynomial.zero()
+
+
+def test_closed_form_matches_the_defining_recursion_from_cold():
+    # The recursion t_{r+1} = t t_r - t_{r-1} is built here from LaurentPolynomial
+    # arithmetic alone; the characters are built cold and out of order.
+    recursion = [LaurentPolynomial.zero(), LaurentPolynomial.one()]
+    while len(recursion) <= 300:
+        recursion.append(T * recursion[-1] - recursion[-2])
+    order = list(range(1, 301))
+    random.Random(16).shuffle(order)
+    _character.cache_clear()
+    for r in order:
+        assert character(r) == recursion[r], r
+    assert _character.cache_info().currsize == 300
+    assert character(0) == character(-3) == LaurentPolynomial.zero()
+    for bad in (1.5, True):
+        with pytest.raises(InputError) as info:
+            character(bad)
+        assert str(info.value) == f"representation dimension must be an integer, got {bad}"
 
 
 def test_character_recursion_examples():

@@ -30,8 +30,9 @@ terms; Fractions appear only in the returned tables.  An integrality check
 guards the boundary, since every genus value is an integer and a non-integral
 result means inconsistent Chern data or a pipeline bug.
 
-The construction and ``parse_monomial_key`` work for every n (mixed keys such
-as c2c4 appear from n = 3 on); the public functions stop at n = 2.
+The construction works for every n (mixed keys such as c2c4 appear from n = 3
+on); the public functions stop at n = 2.  ChernData accepts a key exactly when,
+folded to lowercase without spaces, it is a ``chern_basis(n)`` key.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .boundary import SHORT, is_digit_limit_error, is_int, parse_int, quote, shorten
+from .boundary import SHORT, is_digit_limit_error, is_int, quote, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
@@ -58,8 +58,6 @@ Poly = tuple[Numerators, int]
 
 # Values of n the public functions accept.
 _SUPPORTED_N = [1, 2]
-
-_FACTOR_RE = re.compile(r"c(\d+)(?:\^(\d+))?")
 
 
 def _supported_n(n) -> int:
@@ -98,38 +96,6 @@ def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(basis)
 
 
-def parse_monomial_key(key: str, degree: int) -> tuple[int, ...]:
-    """Parse a Chern monomial key of ``degree``, like "c2^2c4" of degree 8, into (2, 2, 4).
-
-    A key of another degree is refused; reading stops at the first factor past
-    ``degree``, so neither the key's length nor its powers cost more than that.
-    """
-    text = key.strip().lower()
-    parts: list[int] = []
-    total = position = 0
-    while position < len(text) or not parts:
-        m = _FACTOR_RE.match(text, position)
-        if not m:
-            raise InputError(f"malformed Chern monomial key {quote(key)}")
-        position = m.end()
-        index = parse_int(m.group(1), "Chern class index")
-        power = parse_int(m.group(2), "monomial power") if m.group(2) else 1
-        if index % 2 != 0 or index < 2:
-            raise InputError("only even Chern classes c2, c4, ... appear for paired roots; "
-                             f"got {quote(key)}")
-        if power < 1:
-            raise InputError(f"monomial power must be positive in {quote(key)}")
-        total += index * power
-        if total > degree:
-            break
-        parts += [index] * power
-    if total != degree:
-        at_least = "at least " if position < len(text) else ""
-        raise InputError(f"monomial {quote(key)} has degree "
-                         f"{at_least}{quote(total)}, expected {degree}")
-    return tuple(parts)
-
-
 @dataclass(frozen=True)
 class ChernData:
     """Formal Chern-number assignment for the degree-2n evaluation.
@@ -144,16 +110,16 @@ class ChernData:
         _supported_n(self.n)
         if not isinstance(self.values, Mapping):
             raise InputError("Chern numbers must map monomial keys to integers")
-        basis_keys = {key for key, _ in chern_basis(self.n)}
+        basis_keys = [key for key, _ in chern_basis(self.n)]
         cleaned: dict[str, int] = {}
         for raw_key, value in dict(self.values).items():
             if not isinstance(raw_key, str):
                 raise InputError(
                     f"Chern monomial keys must be strings, got {quote(raw_key)}")
             key = raw_key.strip().lower().replace(" ", "")
-            parse_monomial_key(key, 2 * self.n)
             if key not in basis_keys:
-                raise InputError(f"unknown Chern monomial {quote(key)} for n = {self.n}")
+                raise InputError(f"unknown Chern monomial {quote(key)} for n = {self.n}; "
+                                 f"the keys for n = {self.n} are {', '.join(basis_keys)}")
             if key in cleaned:
                 raise InputError(f"Chern monomial {quote(key)} is given more than once")
             if not is_int(value):

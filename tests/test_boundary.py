@@ -32,6 +32,10 @@ HOSTILE_CALLS = {
     "primitive-entry-negative-bigint": lambda: PrimitiveTable(1, ((1, 0, 1), (0, -HUGE, 0))),
     "chern-n-bigint": lambda: ChernData(HUGE, {}),
     "chern-value-bigint-non-integral": lambda: chi_minus_y_from_chern(1, ChernData(1, {"c2": HUGE + 1})),
+    "chern-key-long": lambda: ChernData(1, {LONG: 24}),
+    "chern-key-million-factors": lambda: ChernData(1, {"c2" * 10**6: 24}),
+    "chern-key-power-of-5000-digits": lambda: ChernData(1, {"c2^" + "9" * 5000: 24}),
+    "chern-key-arabic-indic-digit": lambda: ChernData(1, {"c\u0662": 24}),
     "sl2-entry-string": lambda: SL2Element(LONG, 0, 0, 1),
     "diamond-asymmetric-bigint":
         lambda: HodgeDiamond(((1, 0, 1), (0, 20, 0), (HUGE, 0, 1))).require_valid(),

@@ -26,6 +26,7 @@ from hkgenus.errors import (
     ValidationError,
 )
 from hkgenus.hodge import HodgeDiamond, ValidationLevel
+from hkgenus.lefschetz import supertrace_polynomial
 from hkgenus.riemann_roch import ChernData
 from hkgenus.series import TruncatedSeries, binomial_expand
 
@@ -218,6 +219,58 @@ def test_normalized_genera_match_the_egl_product(h):
     expected = egl_normalized_genera(h, MAX_HILBERT_POINTS)
     for m, diamond in enumerate(goettsche_expand(base, MAX_HILBERT_POINTS), start=1):
         assert dict(diamond.normalized_genus().terms()) == expected[m]
+
+
+def character_trace_product(h: int, m_max: int) -> list[dict[int, int]]:
+    """prod_k (1 - t q^k + q^{2k})^-2 (1 - q^k)^-h up to q^m_max.
+
+    Entry m is S(t) of the Hilbert scheme of m points on the surface with
+    h^{1,1} = h, as a dict from t-exponent to coefficient.  The characters
+    come from their own Chebyshev recursion, since 1/(1 - t q + q^2) is
+    sum_m t_{m+1} q^m with t_{m+2} = t t_{m+1} - t_m; no diamond is used.
+    """
+    characters: list[dict[int, int]] = [{0: 1}, {1: 1}]
+    while len(characters) <= m_max:
+        step = {e + 1: c for e, c in characters[-1].items()}
+        for e, c in characters[-2].items():
+            step[e] = step.get(e, 0) - c
+        characters.append({e: c for e, c in step.items() if c})
+    binomials = [{0: comb(h + i - 1, i) if h else int(i == 0)} for i in range(m_max + 1)]
+    series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m_max)]
+    for k in range(1, m_max + 1):
+        for factor in (characters, characters, binomials):
+            # Multiply by sum_i factor[i] q^(i k).
+            updated: list[dict[int, int]] = [{} for _ in range(m_max + 1)]
+            for m, poly in enumerate(series):
+                for i in range(0, (m_max - m) // k + 1):
+                    target = updated[m + i * k]
+                    for e, c in poly.items():
+                        for f, d in factor[i].items():
+                            target[e + f] = target.get(e + f, 0) + c * d
+            series = [{e: c for e, c in poly.items() if c} for poly in updated]
+    return series
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+@example(0)
+@example(1)
+@example(20)
+@example(10**6)
+def test_supertraces_match_the_character_product(h):
+    # The EGL product at t = y + 1/y: the paper's chi_y-as-supertrace claim
+    # over the whole Hilbert-scheme family, from SL(2) characters alone.
+    base = HodgeDiamond(((1, 0, 1), (0, h, 0), (1, 0, 1)))
+    expected = character_trace_product(h, MAX_HILBERT_POINTS)
+    for m, diamond in enumerate(goettsche_expand(base, MAX_HILBERT_POINTS), start=1):
+        assert dict(supertrace_polynomial(diamond).terms()) == expected[m]
+
+
+def test_k3_5_supertrace_from_the_character_product():
+    assert character_trace_product(20, 5)[5] == {
+        5: 6, 4: 108, 3: 1032, 2: 6696, 1: 30336, 0: 78624}
+    assert supertrace_polynomial(builtin("K3[5]").diamond).to_string("t") == (
+        "6t^5+108t^4+1032t^3+6696t^2+30336t+78624")
 
 
 def test_builtin_eulers_match_one_variable_expansion():

@@ -375,7 +375,7 @@ BOUNDARY_INPUTS = {
                    + "]" * 100_000 + "}").encode(),
     "non-utf8": b'{"name": "bad\xff\xfebytes", "n": 1, '
                 b'"hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]}',
-    # Chern keys far past degree 2: the key parser stops after a few factors.
+    # Chern keys far past degree 2: refused by one basis lookup, quoted short.
     "chern-many-factors": (K3_WITH_CHERN_KEY % ("c2" * 10**6)).encode(),
     "chern-big-power": (K3_WITH_CHERN_KEY % "c2^8000000").encode(),
     # An "n" within the digit limit but far too long to quote whole.

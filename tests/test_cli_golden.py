@@ -38,6 +38,9 @@ CASES = [list(argv) + ["--format", fmt]
     ["chi"],
     ["rw", "--manifold", "K3"],
     ["rr", "--c2", "24"],
+    # Chern keys of the other n: the key error lists the keys of the given n.
+    ["rr", "--n", "2", "--c2", "24"],
+    ["rr", "--n", "1", "--c2", "24", "--c4", "3"],
 ]
 
 

@@ -7,8 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hkgenus.catalog import builtin, builtin_names, load_manifold
+from hkgenus.cli import _CHERN_FLAGS
 from hkgenus.errors import InputError
 from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
 from hkgenus.lefschetz import supertrace_polynomial
@@ -18,7 +21,6 @@ from hkgenus.riemann_roch import (
     chern_basis,
     chi_minus_y_chern_coefficients,
     chi_minus_y_from_chern,
-    parse_monomial_key,
     supertrace_chern_coefficients,
     supertrace_from_chern,
 )
@@ -281,31 +283,50 @@ def test_non_integral_result_rejected():
 
 
 def test_monomial_key_validation():
-    assert parse_monomial_key("c2^2", 4) == (2, 2)
-    assert parse_monomial_key("C4", 4) == (4,)
-    # Odd classes vanish; a mixed key fails on its first bad factor.
-    for key, text in (("x2", "malformed Chern monomial key 'x2'"),
-                      ("c3", "only even Chern classes c2, c4, ... appear for paired roots; "
-                             "got 'c3'"),
-                      ("c2^0", "monomial power must be positive in 'c2^0'"),
-                      ("c2c", "malformed Chern monomial key 'c2c'"),
-                      ("c2c3", "only even Chern classes c2, c4, ... appear for paired roots; "
-                               "got 'c2c3'"),
-                      ("c2^0c4", "monomial power must be positive in 'c2^0c4'")):
-        with pytest.raises(InputError) as error:
-            parse_monomial_key(key, 8)
-        assert str(error.value) == text
-    with pytest.raises(InputError):
-        ChernData(1, {"c2^2": 1})  # degree 4 monomial in degree 2 data
-    # A mixed key is read, so at n = 2 it fails on its degree.
-    with pytest.raises(InputError) as error:
-        ChernData(2, {"c2c4": 1})
-    assert str(error.value) == "monomial 'c2c4' has degree 6, expected 4"
-    # Keys are matched in the basis spelling.
-    with pytest.raises(InputError, match="^unknown Chern monomial 'c2c2' for n = 2$"):
-        ChernData(2, {"c2c2": 1})
-    with pytest.raises(InputError):
+    # A key is accepted exactly when it folds to a chern_basis(n) key; every
+    # other key gets the one error, which lists the keys of that n.
+    for n, keys, listed in ((1, ("x2", "c3", "c2^0", "c2c", "c2c3", "c2^0c4", "c2^2", "c4",
+                                 "c2c2c2x", "c2^1000000000"), "c2"),
+                            (2, ("c2", "c2c4", "c2c2", "c2^02", "c4^1"), "c2^2, c4")):
+        for key in keys:
+            with pytest.raises(InputError) as error:
+                ChernData(n, {key: 1})
+            assert str(error.value) == (f"unknown Chern monomial '{key}' for n = {n}; "
+                                        f"the keys for n = {n} are {listed}")
+    assert ChernData(2, {" C2^2": 828, "c 4 ": 324}).values == {"c2^2": 828, "c4": 324}
+    with pytest.raises(InputError, match="^Chern number for 'c2' must be an integer$"):
         ChernData(1, {"c2": 1.5})
+
+
+FOLDABLE = "c0123456789^ C\u0662"
+
+
+@st.composite
+def chern_keys(draw):
+    """Text over FOLDABLE, or a basis key of n <= 2 with cases and spaces changed."""
+    if draw(st.booleans()):
+        return draw(st.text(FOLDABLE, max_size=8))
+    key = draw(st.sampled_from(["c2", "c2^2", "c4"]))
+    return "".join(draw(st.sampled_from([ch, ch.upper(), " " + ch, ch + " "])) for ch in key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2]), chern_keys())
+@example(1, "c\u0662")
+@example(2, "c2^02")
+@example(2, "c4c2")
+def test_a_key_is_accepted_exactly_when_it_folds_to_a_basis_key(n, key):
+    folded = key.strip().lower().replace(" ", "")
+    if folded in {basis_key for basis_key, _ in chern_basis(n)}:
+        assert ChernData(n, {key: 24}).values == {folded: 24}
+    else:
+        with pytest.raises(InputError):
+            ChernData(n, {key: 24})
+
+
+def test_rr_flags_name_the_basis_keys_of_n_1_and_2():
+    assert {key for _, key, _ in _CHERN_FLAGS} == {
+        key for n in (1, 2) for key, _ in chern_basis(n)}
 
 
 K3_FILE = '{"name": "K3", "n": %s, "hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]],\n  "chern": %s}\n'
@@ -349,26 +370,20 @@ def test_chern_numbers_must_be_a_mapping(values):
         ChernData(1, values)
 
 
-def test_key_degree_is_checked_factor_by_factor():
-    # Reading stops at the first factor past the degree, so a key of a million
-    # factors or with a huge power is refused after a few factors.
-    for key, text in (("c2" * 10**6, "has degree at least 4, expected 2"),
-                      ("c2^1000000000", "has degree 2000000000, expected 2"),
-                      ("c2^" + "9" * 4000, "has degree an integer of 13289 bits, expected 2"),
-                      ("c2c2c2x", "has degree at least 4, expected 2")):
-        with pytest.raises(InputError) as error:
-            ChernData(1, {key: 24})
-        assert str(error.value).endswith(text) and len(str(error.value)) < 200
-    assert parse_monomial_key("c2c4", 6) == (2, 4)
-    with pytest.raises(InputError, match="^monomial 'c2' has degree 2, expected 4$"):
-        parse_monomial_key("c2", 4)
-
-
 def test_mixed_monomial_keys_round_trip_the_basis():
+    # Each basis key is already folded, so ChernData can accept it, and it
+    # spells its partition: c_{2k}^m for each part k of multiplicity m.
     for n in range(1, 9):
         for key, partition in chern_basis(n):
-            assert parse_monomial_key(key, 2 * n) == tuple(2 * k for k in partition)
-    assert parse_monomial_key(" C2^2C4 ", 8) == (2, 2, 4)
+            assert key == key.strip().lower().replace(" ", "")
+            read = []
+            for factor in key.split("c")[1:]:
+                index, _, power = factor.partition("^")
+                read += [int(index) // 2] * int(power or 1)
+            assert tuple(read) == partition
+    for n in (1, 2):
+        keys = [key for key, _ in chern_basis(n)]
+        assert list(ChernData(n, dict.fromkeys(keys, 0)).values) == keys
 
 
 def libgober_wood(n, chi):

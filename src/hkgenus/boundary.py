@@ -1,7 +1,8 @@
 """The input boundary: values that come from outside, and the rules for them.
 
 ``is_int`` says what counts as an integer, ``quote`` how a caller's value
-enters an error message (an int past ``3 * SHORT`` bits by its size, anything
+enters an error message (an int past ``3 * SHORT`` bits by its size, a string
+by the ``repr`` of its first ``SHORT`` characters and its length, anything
 else by its ``repr`` cut by ``shorten``), ``json_text`` what canonical JSON
 is: ``write_json`` writes it to a file and the CLI prints it.
 The limits on what comes in:
@@ -42,6 +43,9 @@ def quote(value) -> str:
     """A caller's value as an error message shows it, in at most a short line."""
     if is_int(value) and value.bit_length() > 3 * SHORT:  # else its repr fits
         return f"an integer of {value.bit_length()} bits"
+    if isinstance(value, str):  # repr only the part shown; count the value's characters
+        text = repr(value[:SHORT])
+        return text if len(text) <= SHORT else f"{text[:SHORT]}... ({len(value)} characters)"
     try:
         return shorten(repr(value))
     except Exception:  # repr itself can fail: on a list of too long ints, say

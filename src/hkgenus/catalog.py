@@ -12,9 +12,10 @@ whose z^m coefficient F_m, a polynomial in x and y of degree at most 2m in
 each, is the diamond of the m-th Hilbert scheme of points.  The expansion runs
 over z-degree alone: z d/dz log F has integer tables D_j as its z^j
 coefficients, and m F_m = sum_j D_j F_{m-j} gives each table from the
-previous ones by exact integer arithmetic, with every division by m checked
-for a zero remainder.  Every number downstream of the seed is therefore
-reproducible in-repo from integer arithmetic alone.
+previous ones by exact integer arithmetic, each product reading only the
+nonzero entries of F_{m-j}, with every division by m checked for a zero
+remainder.  Every number downstream of the seed is therefore reproducible
+in-repo from integer arithmetic alone.
 
 File format (.hodge.json recommended): a JSON object
 
@@ -114,27 +115,27 @@ def _goettsche_tables(base: HodgeDiamond, n_max: int) -> Iterator[tuple[tuple[in
     # F_m is stored row-major with the stride of the largest table, so that
     # multiplying by x^a y^b is one shift by a * stride + b.  Entries past
     # column 2m of a row are zero, so a shift never carries a nonzero entry
-    # into the next row.
+    # into the next row.  Each product reads only the nonzero entries of
+    # F_{m-j}, kept as (index, value) pairs: on K3-type bases every odd cell
+    # and all the padding are zero.
     stride = 2 * n_max + 1
-    tables: list[list[int]] = [[1]]
+    nonzero: list[list[tuple[int, int]]] = [[(0, 1)]]
     for m in range(1, n_max + 1):
         side = 2 * m + 1
         acc = [0] * (side * stride)
         for j in range(1, m + 1):
-            source = tables[m - j]
-            width = len(source)
+            source = nonzero[m - j]
             for a, b, c in log_derivative[j]:
                 start = a * stride + b
-                acc[start:start + width] = [
-                    t + c * v for t, v in zip(acc[start:start + width], source)]
+                for i, v in source:
+                    acc[start + i] += c * v
         if any(value % m for value in acc):
             cell = next(i for i, value in enumerate(acc) if value % m)
             raise InternalInconsistencyError(
                 f"z^{m} coefficient: {m} does not divide entry "
                 f"({cell // stride}, {cell % stride}) of m F_m")
         table = [value // m for value in acc]
-        # Trailing zeros of the last row are dropped; the next shifts stay in range.
-        tables.append(table[:(side - 1) * stride + side])
+        nonzero.append([(i, v) for i, v in enumerate(table) if v])
         yield tuple(tuple(table[p * stride:p * stride + side]) for p in range(side))
 
 

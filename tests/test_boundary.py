@@ -60,8 +60,14 @@ def test_quote():
     assert quote(2**180) == "an integer of 181 bits"
     assert quote(True) == "True"
     assert quote("K3") == "'K3'"
-    assert quote(LONG) == "'" + "x" * (boundary.SHORT - 1) + "... (1000002 characters)"
+    assert quote(LONG) == "'" + "x" * (boundary.SHORT - 1) + "... (1000000 characters)"
+    assert quote("\x00" * 1000) == "'" + "\\x00" * 14 + "\\x0... (1000 characters)"
     assert quote([HUGE]) == "a value of type list"
+
+
+def test_a_long_chern_key_is_quoted_by_its_own_length():
+    with pytest.raises(InputError, match=r"'c{59}\.\.\. \(16777216 characters\) for n = 1"):
+        ChernData(1, {"c" * 2**24: 24})
 
 
 def test_write_json_is_canonical(tmp_path):

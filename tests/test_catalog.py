@@ -142,6 +142,7 @@ symmetric_bases = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.int
 @example((1, 0, 20), 5)
 @example((1, 0, 10**6), 5)
 @example((1, 0, 0), 4)
+@example((1, 0, 0), 5)
 @example((2, 0, 20), 3)
 def test_expansion_matches_the_truncated_series_product(entries, n_max):
     a, b, c = entries
@@ -161,9 +162,12 @@ def test_expansion_matches_the_truncated_series_product(entries, n_max):
 @given(st.lists(st.integers(-10**6, 10**6) | st.just(0), min_size=9, max_size=9),
        st.integers(1, MAX_HILBERT_POINTS))
 @example([1, 7, 1, 7, 20, 7, 1, 7, 1], 5)
+@example([1, -7, 1, -7, 20, -7, 1, -7, 1], 5)
 def test_recurrence_matches_the_product_on_any_surface_table(entries, n_max):
     # Tables with h^{p,q} != 0 for odd p + q, or negative entries, never pass
-    # STRICT, so only this test sees the recurrence's odd-sign terms.
+    # STRICT, so only this test sees the recurrence's odd-sign terms.  The
+    # second example's negative odd cells give tables with negative entries,
+    # which the recurrence's nonzero-entry lists must keep on every run.
     base = HodgeDiamond(tuple(tuple(entries[3 * p:3 * p + 3]) for p in range(3)))
     assert list(_goettsche_tables(base, n_max)) == reference_tables(base, n_max)
 

@@ -3,8 +3,9 @@
 ``is_int`` says what counts as an integer, ``quote`` how a caller's value
 enters an error message (an int past ``3 * SHORT`` bits by its size, a string
 by the ``repr`` of its first ``SHORT`` characters and its length, anything
-else by its ``repr`` cut by ``shorten``), ``json_text`` what canonical JSON
-is: ``write_json`` writes it to a file and the CLI prints it.
+else by its ``repr``, cut to ``SHORT`` characters and "..." when longer and
+built only that far into a list, tuple or dict), ``json_text`` what canonical
+JSON is: ``write_json`` writes it to a file and the CLI prints it.
 The limits on what comes in:
 
 * a JSON file holds at most ``MAX_INPUT_CHARS`` characters of UTF-8 text;
@@ -47,9 +48,39 @@ def quote(value) -> str:
         text = repr(value[:SHORT])
         return text if len(text) <= SHORT else f"{text[:SHORT]}... ({len(value)} characters)"
     try:
-        return shorten(repr(value))
+        text = ""
+        for piece in _repr_pieces(value, set()):
+            text += piece
+            if len(text) > SHORT:  # what follows would not be shown
+                return text[:SHORT] + "..."
+        return text
     except Exception:  # repr itself can fail: on a list of too long ints, say
         return shorten(f"a value of type {type(value).__name__}")
+
+
+def _repr_pieces(value, open_ids: set):
+    """``repr(value)`` piece by piece, so that the reader can stop early: a list,
+    tuple or dict a bracket, separator or item at a time, a str in one by the
+    repr of its first ``SHORT`` characters."""
+    kind = type(value)
+    if kind not in (list, tuple, dict):
+        yield repr(value[:SHORT] if kind is str else value)
+        return
+    left, right = {list: "[]", tuple: "()", dict: "{}"}[kind]
+    if id(value) in open_ids:  # a container inside itself, as repr shows it
+        yield left + "..." + right
+        return
+    open_ids.add(id(value))
+    yield left
+    for i, item in enumerate(value.items() if kind is dict else value):
+        yield ", " if i else ""
+        if kind is dict:
+            yield from _repr_pieces(item[0], open_ids)
+            yield ": "
+            item = item[1]
+        yield from _repr_pieces(item, open_ids)
+    open_ids.discard(id(value))
+    yield ",)" if kind is tuple and len(value) == 1 else right
 
 
 def digit_limit() -> int:

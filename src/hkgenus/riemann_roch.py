@@ -24,11 +24,11 @@ sequence yields chi_{-y}, the second the graded-trace polynomial S(t);
 substituting t = (1+y^2)/y and multiplying by y^n carries one into the other
 exactly.
 
-Todd coefficients such as 1/12 are not integers, so every intermediate
-polynomial is integer numerators over one positive denominator in lowest
-terms; Fractions appear only in the returned tables.  An integrality check
-guards the boundary, since every genus value is an integer and a non-integral
-result means inconsistent Chern data or a pipeline bug.
+Todd coefficients such as 1/12 are not integers, but in w = u/M, M = (2n+2)!,
+every series has integer coefficients, and so does L_m = m! K_m; the one
+division, by n! M^n, builds the returned Fraction tables.  An integrality
+check guards the boundary, since every genus value is an integer and a
+non-integral result means inconsistent Chern data or a pipeline bug.
 
 The construction works for every n (mixed keys such as c2c4 appear from n = 3
 on); the public functions stop at n = 2.  ChernData accepts a key exactly when,
@@ -51,10 +51,9 @@ from .laurent import LaurentPolynomial
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# A polynomial in e_1, e_2, ... and y or t: numerators (parts, exponent) -> int
-# over one positive denominator, in lowest terms; parts are the k of each e_k.
-Numerators = dict[tuple[tuple[int, ...], int], int]
-Poly = tuple[Numerators, int]
+# A polynomial in e_1, e_2, ... and y or t with integer coefficients:
+# (parts, exponent) -> int, where parts are the k of each e_k.
+Poly = dict[tuple[tuple[int, ...], int], int]
 
 # Values of n the public functions accept.
 _SUPPORTED_N = [1, 2]
@@ -135,56 +134,49 @@ class ChernData:
 
 # -- the multiplicative sequence ---------------------------------------------
 
-def _lowest(numerators: Numerators, denominator: int) -> Poly:
-    g = math.gcd(denominator, *numerators.values())
-    return {key: c // g for key, c in numerators.items() if c}, denominator // g
-
-
-def _sum(terms: list[tuple[int, Poly]], divisor: int = 1) -> Poly:
-    """The sum of scale * poly over ``terms``, divided by ``divisor``."""
-    denominator = math.lcm(*(d for _, (_, d) in terms))
-    out: Numerators = {}
-    for scale, (numerators, d) in terms:
-        scale *= denominator // d
-        for key, c in numerators.items():
+def _sum(terms: list[tuple[int, Poly]]) -> Poly:
+    """The sum of scale * poly over ``terms``."""
+    out: Poly = {}
+    for scale, poly in terms:
+        for key, c in poly.items():
             out[key] = out.get(key, 0) + scale * c
-    return _lowest(out, denominator * divisor)
+    return {key: c for key, c in out.items() if c}
 
 
 def _mul(a: Poly, b: Poly) -> Poly:
-    out: Numerators = {}
-    for (parts_a, exp_a), ca in a[0].items():
-        for (parts_b, exp_b), cb in b[0].items():
+    out: Poly = {}
+    for (parts_a, exp_a), ca in a.items():
+        for (parts_b, exp_b), cb in b.items():
             key = (tuple(sorted(parts_a + parts_b)), exp_a + exp_b)
             out[key] = out.get(key, 0) + ca * cb
-    return _lowest(out, a[1] * b[1])
+    return {key: c for key, c in out.items() if c}
 
 
-def _pair_series(n: int, kind: str) -> list[Poly]:
-    """u^0..u^n coefficients of one pair's factor, normalised to constant term 1.
+def _pair_series(n: int, kind: str, m: int) -> list[Poly]:
+    """w^0..w^n coefficients of one pair's factor in w = u/m, normalised to 1 at w^0.
 
-    F(u) = x^2/(2 cosh x - 2) * g(x) has a polynomial constant term a0, so its
-    logarithm would need rational functions of y.  F(a0 u)/a0 has constant term
-    1 and polynomial coefficients F_k a0^(k-1), and since the exponents of a
-    degree-n term of prod_i F(u_i) over n factors sum to n, the two products
-    have the same degree-n part.
+    As (2n+2)! divides m, the Todd denominator sum_k 2 u^k/(2k+2)! and cosh x =
+    sum_k u^k/(2k)! have integer w^k coefficients for k <= n, 1 at k = 0, so
+    the reciprocal and every product stay integral.  F(w) = x^2/(2 cosh x - 2)
+    * g(x) has a polynomial constant term a0, so its logarithm would need
+    rational functions of y.  F(a0 w)/a0 has constant term 1 and polynomial
+    coefficients F_k a0^(k-1), and since the exponents of a degree-n term of
+    prod_i F(w_i) over n factors sum to n, the two products have the same
+    degree-n part.
     """
-    # x^2/(2 cosh x - 2) is the reciprocal of sum_k 2 u^k/(2k+2)!; over M^n with
-    # M = (2n+2)!, its coefficients and the cosh sums have integer numerators.
-    m = math.factorial(2 * n + 2)
-    todd = [m ** n]
+    todd = [1]
     for k in range(1, n + 1):
-        todd.append(-sum(2 * m // math.factorial(2 * j + 2) * todd[k - j]
-                         for j in range(1, k + 1)) // m)
+        todd.append(-sum(2 * m ** j // math.factorial(2 * j + 2) * todd[k - j]
+                         for j in range(1, k + 1)))
+    cosh = [m ** k // math.factorial(2 * k) for k in range(n + 1)]
     series: list[Poly] = []
     for k in range(n + 1):
-        cosh_part = -2 * sum(todd[j] // math.factorial(2 * (k - j)) for j in range(k + 1))
+        cosh_part = -2 * sum(todd[j] * cosh[k - j] for j in range(k + 1))
         if kind == "genus":  # g = (1 + y^2) - 2 y cosh x
-            terms = {((), 0): todd[k], ((), 1): cosh_part, ((), 2): todd[k]}
+            series.append({((), 0): todd[k], ((), 1): cosh_part, ((), 2): todd[k]})
         else:  # g = t - 2 cosh x
-            terms = {((), 0): cosh_part, ((), 1): todd[k]}
-        series.append(_lowest(terms, m ** n))
-    power: Poly = ({((), 0): 1}, 1)
+            series.append({((), 0): cosh_part, ((), 1): todd[k]})
+    power: Poly = {((), 0): 1}
     normalised = [power]
     for k in range(1, n + 1):
         normalised.append(_mul(series[k], power))
@@ -197,26 +189,29 @@ def _symbolic_coefficients(n: int, kind: str) -> tuple[tuple[str, tuple[tuple[in
     """The degree-2n integrand of ``kind`` per Chern monomial, for any n >= 1."""
     from fractions import Fraction
 
-    series = _pair_series(n, kind)
-    # u d/du log F = sum_k d_k u^k, from k F_k = sum_{j=1..k} d_j F_{k-j}, and
+    scale = math.factorial(2 * n + 2)  # M: the series run in w = u/M
+    series = _pair_series(n, kind, scale)
+    # w d/dw log F = sum_k d_k w^k, from k F_k = sum_{j=1..k} d_j F_{k-j}, and
     # Newton's identities p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
-    log_derivative: list[Poly] = [({}, 1)]
-    power_sums: list[Poly] = [({}, 1)]
+    log_derivative: list[Poly] = [{}]
+    power_sums: list[Poly] = [{}]
     for k in range(1, n + 1):
         log_derivative.append(_sum([(k, series[k])] + [
             (-1, _mul(log_derivative[j], series[k - j])) for j in range(1, k)]))
-        power_sums.append(_sum([((-1) ** (k - 1) * k, ({((k,), 0): 1}, 1))] + [
-            ((-1) ** (j - 1), _mul(({((j,), 0): 1}, 1), power_sums[k - j])) for j in range(1, k)]))
-    # The multiplicative sequence: m K_m = sum_{j=1..m} d_j p_j K_{m-j}.
+        power_sums.append(_sum([((-1) ** (k - 1) * k, {((k,), 0): 1})] + [
+            ((-1) ** (j - 1), _mul({((j,), 0): 1}, power_sums[k - j])) for j in range(1, k)]))
+    # The multiplicative sequence in L_m = m! K_m, from m K_m = sum_{j=1..m} d_j p_j K_{m-j}:
+    # L_m = sum_{j=1..m} (m-1)!/(m-j)! d_j p_j L_{m-j}.
     weighted = [_mul(d, p) for d, p in zip(log_derivative, power_sums)]
-    sequence: list[Poly] = [({((), 0): 1}, 1)]
+    sequence: list[Poly] = [{((), 0): 1}]
     for m in range(1, n + 1):
-        sequence.append(_sum([(1, _mul(weighted[j], sequence[m - j]))
-                              for j in range(1, m + 1)], divisor=m))
+        sequence.append(_sum([(math.perm(m - 1, j - 1), _mul(weighted[j], sequence[m - j]))
+                              for j in range(1, m + 1)]))
+    # K_n = L_n/n!, and e_k(w) = e_k(u)/M^k puts M^n under every degree-n monomial;
     # e_k -> (-1)^k c_{2k}: the signs of a degree-n monomial multiply to (-1)^n.
-    numerators, denominator = sequence[n]
+    denominator = math.factorial(n) * scale ** n
     by_partition: dict[tuple[int, ...], dict[int, Fraction]] = collections.defaultdict(dict)
-    for (partition, exponent), c in numerators.items():
+    for (partition, exponent), c in sequence[n].items():
         by_partition[partition][exponent] = Fraction((-1) ** n * c, denominator)
     return tuple((key, tuple(sorted(by_partition[partition].items())))
                  for key, partition in chern_basis(n))

@@ -2,10 +2,12 @@
 
 Every value a caller hands in ends, when it is refused, in an ``InputError``
 whose message quotes it in a short line: ints past ``3 * SHORT`` bits by their
-size, anything else by its first ``SHORT`` characters and its length.
+size, strings by their first ``SHORT`` characters and their length, anything
+else by its repr, cut after ``SHORT`` characters.
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,43 @@ def test_quote():
     assert quote(LONG) == "'" + "x" * (boundary.SHORT - 1) + "... (1000000 characters)"
     assert quote("\x00" * 1000) == "'" + "\\x00" * 14 + "\\x0... (1000 characters)"
     assert quote([HUGE]) == "a value of type list"
+
+
+def _self_containing():
+    items, table = [], {}
+    items.append(items)
+    table["self"] = table
+    return [items, table, (items,)]
+
+
+SHORT_REPRS = [
+    [], (), {}, (1,), [1, (2, 3)], {"b": 1, "a": [None, True, 1.5]}, ["x'y", 'a"b', "\x00"],
+    [-(2**170)], ["x" * 56], list(range(15)), {(1, 2): "v"}, {2, 1}, frozenset({3}), 0.1, None,
+] + _self_containing()
+
+
+@pytest.mark.parametrize("value", SHORT_REPRS, ids=repr)
+def test_a_value_whose_repr_is_short_is_quoted_by_its_repr(value):
+    assert len(repr(value)) <= boundary.SHORT
+    assert boundary.quote(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", [["x" * 57], list(range(21)), {"k": ["v" * 100]},
+                                   [[[[0] * 9] * 9] * 9] * 9, [[(1,)] * 30, {}]])
+def test_a_long_container_is_quoted_by_the_head_of_its_repr(value):
+    assert boundary.quote(value) == repr(value)[:boundary.SHORT] + "..."
+
+
+def test_quoting_a_container_costs_only_what_is_shown():
+    value = ["x" * 2**24]
+    tracemalloc.start()
+    try:
+        text = boundary.quote(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "['" + "x" * (boundary.SHORT - 2) + "..."
+    assert peak < 2**20
 
 
 def test_a_long_chern_key_is_quoted_by_its_own_length():

@@ -381,6 +381,9 @@ BOUNDARY_INPUTS = {
     # An "n" within the digit limit but far too long to quote whole.
     "n-bigint": ('{"name": "K3", "n": %s, "hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]}'
                  % ("7" * 4000)).encode(),
+    # An entry that is a list holding an 8 MiB string: quoted by its head only.
+    "entry-list-of-long-string": ('{"name": "K3", "n": 1, "hodge": [[1, 0, 1], [0, ["%s"], 0], '
+                                  '[1, 0, 1]]}' % ("x" * 2**23)).encode(),
 }
 
 

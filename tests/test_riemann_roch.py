@@ -48,7 +48,7 @@ GOLDEN_TRACE = {
 
 
 # The n = 3, 4 tables of the multiplicative sequence as computed with Fraction
-# arithmetic throughout, pinned the same way; n = 5..8 by a digest of their repr.
+# arithmetic throughout, pinned the same way; n = 5..10 by a digest of their repr.
 F = Fraction
 GOLDEN_SYMBOLIC = {
     (3, "genus"): (
@@ -103,6 +103,10 @@ GOLDEN_SYMBOLIC_SHA256 = {
     (7, "trace"): "331fa4385e5a39f4e8cf8c7db4e1600d820c724d320cc469ebcbb2d49ee774e9",
     (8, "genus"): "3e13d019bba6926683d51bb8d1dcb532a9b6c1be3a34e661f88a7bb7e6c6571b",
     (8, "trace"): "c1f04e938d581082e4a069a1d8f77e3c048f2f01c2da77c0557df7baf26ea067",
+    (9, "genus"): "8998e6a5780379a1f78104c952887d060bf40ea081ea0523071eb739d789d3b4",
+    (9, "trace"): "0b755255ad23883794ef7c54d73cbff225c51779d9e5b1b6e26f1a4982344847",
+    (10, "genus"): "aba6783e6e2350ef1cded4a86eb11f80b437072e5b1d030108af8556647fd44f",
+    (10, "trace"): "bc3c8fbc2dd6adb1ec02e9e652d7c0cfc26adf04375ae05481a0bd39a2c42ba3",
 }
 
 

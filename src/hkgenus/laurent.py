@@ -255,20 +255,29 @@ def substitute_y_plus_yinv(p: LaurentPolynomial) -> LaurentPolynomial:
         s_k t^k  ->  s_k * sum_{j=0}^{k} C(k, j) y^(k-2j),
 
     with the binomials C(k, j) kept as running integers, so no polynomial
-    products are formed.  The character form t_{r+1} - t_{r-1} = y^r + y^-r
-    is deliberately not used here: the telescoped route to S(t) weights
-    exactly those differences by the coefficients of chi_{-y}/y^n, so a
-    left-hand side obtained through the character form would equal the
-    right-hand side of the supertrace identity by construction, and the exact
-    check would become a tautology.
+    products are formed.  Since C(k, j) = C(k, k-j), the terms j and k - j
+    of each row carry the same coefficient at y^(k-2j) and y^-(k-2j); so only
+    j <= k/2 is summed, into a list indexed by the exponent k - 2j >= 0, and
+    the negative exponents are that list mirrored.  The mirror rests on the
+    symmetry of (y + 1/y)^k alone, true of every p, and reads nothing of the
+    structure of S(t).
+
+    The character form t_{r+1} - t_{r-1} = y^r + y^-r is deliberately not
+    used here: the telescoped route to S(t) weights exactly those differences
+    by the coefficients of chi_{-y}/y^n, so a left-hand side obtained through
+    the character form would equal the right-hand side of the supertrace
+    identity by construction, and the exact check would become a tautology.
+    The binomial sum expands t^k, not a character, so the check stays real.
     """
     if p.valuation() is not None and p.valuation() < 0:
         raise ValueError("substitution requires a polynomial with nonnegative exponents")
-    out: dict[int, int] = {}
+    if not p:
+        return LaurentPolynomial()
+    deg = p.degree()
+    half = [0] * (deg + 1)  # half[e]: coefficient of y^e and of y^-e
     for k, s_k in p.terms():
         binom = 1
-        for j in range(k + 1):
-            e = k - 2 * j
-            out[e] = out.get(e, 0) + s_k * binom
+        for j in range(k // 2 + 1):
+            half[k - 2 * j] += s_k * binom
             binom = binom * (k - j) // (j + 1)
-    return LaurentPolynomial(out)
+    return LaurentPolynomial(dict(zip(range(-deg, deg + 1), half[:0:-1] + half)))

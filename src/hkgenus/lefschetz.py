@@ -22,11 +22,12 @@ as Laurent polynomials, which proves the identity for every U simultaneously
 because both sides depend on U only through its trace.  Specializing U to an
 integer matrix gives the mapping-torus invariant of Rozansky-Witten type.
 
-Both routes add weighted characters into one exact integer coefficient map
-and build a single polynomial at the end.  The primitive route forms each
-product weight * t_r as a polynomial before adding it; the rewrite route adds
-weight * c for every term c t^e of t_r straight into the map, so it builds no
-polynomial per row.
+Both routes add weighted characters into one list of exact integer
+coefficients, indexed by the exponent 0..n of t, and build a single polynomial
+at the end (its constructor drops the zero entries).  The primitive route
+forms each product weight * t_r as a polynomial before adding it; the rewrite
+route adds weight * c for every term c t^e of t_r straight into the list, so
+it builds no polynomial per row.
 
 S(t) and the primitive table depend only on the diamond, so each is computed
 and cross-checked once per diamond and kept on it; later calls (the value at
@@ -63,10 +64,10 @@ _PRIMITIVE_TABLE = "_primitive_table"
 _SUPERTRACE = "_supertrace"
 
 
-def _accumulate(total: dict[int, int], poly: LaurentPolynomial, weight: int = 1) -> None:
-    """Add ``weight * poly`` into the coefficient map ``total``."""
+def _accumulate(total: list[int], poly: LaurentPolynomial, weight: int) -> None:
+    """Add ``weight * poly`` into ``total``, the coefficient list indexed by exponent."""
     for e, c in poly.terms():
-        total[e] = total.get(e, 0) + weight * c
+        total[e] += weight * c
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,12 @@ def supertrace_via_primitives(d: HodgeDiamond) -> LaurentPolynomial:
     """S(t) = sum_{q} sum_{p=0}^{n} (-1)^{p+q} t_{n-p+1} prim(p, q)."""
     pt = primitive_multiplicities(d)
     n = pt.n
-    total: dict[int, int] = {}
+    total = [0] * (n + 1)  # t_r, r <= n + 1, has exponents 0..n
     for p, row in enumerate(pt.rows):
         weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
-        _accumulate(total, character(n - p + 1) * weight)
-    return LaurentPolynomial(total)
+        for e, c in (character(n - p + 1) * weight).terms():
+            total[e] += c
+    return LaurentPolynomial(dict(enumerate(total)))
 
 
 def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
@@ -163,17 +165,17 @@ def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
 
     Row p of the diamond gives one integer weight, (-1)^p sum_q (-1)^q h^{p,q};
     weight times each coefficient of t_{n-p+1}, and minus weight times each of
-    t_{n-p-1}, are added straight into one coefficient map, so no polynomial is
+    t_{n-p-1}, are added straight into one coefficient list, so no polynomial is
     built per row and the rows are not regrouped by character.
     """
     n = d.n
-    total: dict[int, int] = {}
+    total = [0] * (n + 1)
     for p in range(n + 1):
         row = d.rows[p]
         weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
         _accumulate(total, character(n - p + 1), weight)
         _accumulate(total, character(n - p - 1), -weight)
-    return LaurentPolynomial(total)
+    return LaurentPolynomial(dict(enumerate(total)))
 
 
 def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:

@@ -147,7 +147,10 @@ def _mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for (parts_a, exp_a), ca in a.items():
         for (parts_b, exp_b), cb in b.items():
-            key = (tuple(sorted(parts_a + parts_b)), exp_a + exp_b)
+            parts = parts_a + parts_b  # already sorted when either holds no e_k
+            if parts_a and parts_b:
+                parts = tuple(sorted(parts))
+            key = (parts, exp_a + exp_b)
             out[key] = out.get(key, 0) + ca * cb
     return {key: c for key, c in out.items() if c}
 

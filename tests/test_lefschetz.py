@@ -28,7 +28,7 @@ from hkgenus.lefschetz import (
     verify_supertrace_identity,
 )
 from hkgenus.sampling import random_sl2, random_structural_diamond
-from hkgenus.sl2 import SL2Element
+from hkgenus.sl2 import SL2Element, character
 
 K3 = builtin("K3").diamond
 K3_2 = builtin("K3[2]").diamond
@@ -278,6 +278,41 @@ def test_supertrace_both_routes_agree():
     diamonds += [random_structural_diamond(rng, rng.randint(1, 4)) for _ in range(50)]
     for d in diamonds:
         assert supertrace_via_primitives(d) == supertrace_via_rewrite(d)
+
+
+def test_supertrace_routes_at_n_one():
+    rng = random.Random(1)
+    diamonds = [K3, TORUS] + [random_structural_diamond(rng, 1) for _ in range(30)]
+    for d in diamonds:
+        # (-1)^q-signed row sums: S(t) = w_0 t_2 - w_1 t_1.
+        w = [sum((-1) ** q * h for q, h in enumerate(row)) for row in d.rows[:2]]
+        expected = LaurentPolynomial({1: w[0], 0: -w[1]})
+        assert supertrace_via_primitives(d) == supertrace_via_rewrite(d) == expected
+        assert verify_supertrace_identity(d).passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_all_zero_table_has_zero_supertrace(n):
+    d = HodgeDiamond(tuple((0,) * (2 * n + 1) for _ in range(2 * n + 1)))
+    assert supertrace_via_primitives(d) == supertrace_via_rewrite(d) == LaurentPolynomial.zero()
+    report = verify_supertrace_identity(d)
+    assert report.passed
+    assert report.supertrace == report.lhs == report.rhs == LaurentPolynomial.zero()
+
+
+def test_routes_store_no_zero_coefficient():
+    # h^{p,q} = 1 on even (p, q) only: prim is nonzero on row 0 alone, so S(t)
+    # = (n+1) t_{n+1}, whose exponents skip every other slot of the list.
+    rng = random.Random(3)
+    diamonds = [HodgeDiamond(tuple(tuple(int(p % 2 == q % 2 == 0) for q in range(2 * n + 1))
+                                   for p in range(2 * n + 1))) for n in range(1, 7)]
+    for d in diamonds:
+        assert supertrace_via_rewrite(d) == (d.n + 1) * character(d.n + 1)
+    diamonds += [K3, K3_2] + [random_structural_diamond(rng, rng.randint(1, 8)) for _ in range(50)]
+    diamonds.append(HodgeDiamond(((0, 0, 0), (0, 0, 0), (0, 0, 0))))
+    for d in diamonds:
+        for route in (supertrace_via_primitives, supertrace_via_rewrite):
+            assert 0 not in dict(route(d).terms()).values()
 
 
 def test_supertrace_by_brute_force_summation():

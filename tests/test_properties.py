@@ -1,6 +1,7 @@
 """Property-based tests: exact ring axioms and structural invariants."""
 
 import enum
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,10 @@ wide_laurent_polys = st.dictionaries(
 ).map(LaurentPolynomial)
 wide_trace_polys = st.dictionaries(
     st.integers(0, 16), wide_coefficients, max_size=6
+).map(LaurentPolynomial)
+# Degrees past the n = 40 of the identity sweep, coefficients past 2^200.
+deep_trace_polys = st.dictionaries(
+    st.integers(0, 80), st.integers(-50, 50) | st.integers(-2**210, 2**210), max_size=8
 ).map(LaurentPolynomial)
 
 
@@ -77,6 +82,36 @@ def test_eigenvalue_substitution_is_palindromic(p):
 @given(wide_trace_polys)
 def test_closed_form_substitution_matches_composition(p):
     assert substitute_y_plus_yinv(p) == compose(p, Y_PLUS_YINV)
+
+
+def full_row_substitution(p: LaurentPolynomial) -> LaurentPolynomial:
+    """sum_k s_k sum_{j=0..k} C(k, j) y^(k-2j) over every j, so nothing is mirrored."""
+    out: dict[int, int] = {}
+    for k, s_k in p.terms():
+        for j in range(k + 1):
+            out[k - 2 * j] = out.get(k - 2 * j, 0) + s_k * math.comb(k, j)
+    return LaurentPolynomial(out)
+
+
+@given(deep_trace_polys)
+def test_half_row_substitution_matches_the_full_rows(p):
+    assert substitute_y_plus_yinv(p) == full_row_substitution(p)
+
+
+@pytest.mark.parametrize("k", range(81))
+def test_substituted_monomials_match_the_full_rows(k):
+    # Odd and even k, alone, beside a constant, and beside a lower term.
+    for s_k in (1, -3, 2**201 + 1, -(3**130)):
+        for p in (LaurentPolynomial({k: s_k}), LaurentPolynomial({k: s_k, 0: 7}),
+                  LaurentPolynomial({k: s_k, k // 2: -(2**205)})):
+            assert substitute_y_plus_yinv(p) == full_row_substitution(p)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 2**200 + 3, -(2**210)])
+def test_substituted_constants_stay_constant(c):
+    p = LaurentPolynomial.constant(c)
+    assert substitute_y_plus_yinv(p) == full_row_substitution(p) == p
+    assert 0 not in dict(substitute_y_plus_yinv(p).terms()).values()
 
 
 @given(wide_laurent_polys, st.integers(-7, 7))

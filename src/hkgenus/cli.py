@@ -112,12 +112,10 @@ def _resolve_manifold(args, required=True):
     manifold, path = args.manifold, args.input
     if manifold is not None and path is not None:
         raise InputError("exactly one manifold source: use --manifold or --input, not both")
-    level = ValidationLevel.STRICT if args.strict else ValidationLevel.STRUCTURAL
-    if manifold is not None:
-        record = catalog_mod.builtin(manifold)
-        record.diamond.require_valid(level)
-        return record
+    if manifold is not None:  # the catalog checked every built-in STRICT when it built it
+        return catalog_mod.builtin(manifold)
     if path is not None:
+        level = ValidationLevel.STRICT if args.strict else ValidationLevel.STRUCTURAL
         return catalog_mod.load_manifold(path, level)
     if required:
         raise InputError("a manifold is required: pass --manifold NAME or --input PATH")
@@ -176,8 +174,6 @@ def _cmd_verify(args):
         records = [_resolve_manifold(args)]
     results, lines = [], []
     for record in records:
-        if args.strict and args.all_builtin:  # _resolve_manifold checked the others
-            record.diamond.require_valid(ValidationLevel.STRICT)
         report = verify_supertrace_identity(record.diamond)
         n, lhs, rhs = record.diamond.n, report.lhs.to_string("y"), report.rhs.to_string("y")
         results.append({"name": record.name, "n": n, "passed": report.passed,

@@ -34,11 +34,11 @@ def _check_int(value) -> int:
 class LaurentPolynomial:
     """An integer-coefficient polynomial in one variable and its inverse.
 
-    >>> y = LaurentPolynomial.variable()
-    >>> (y + y**-1) * (y - y**-1) == y**2 - y**-2
-    True
-    >>> print((3*y**2 + 42*y + 234 + 42*y**-1 + 3*y**-2).to_string("y"))
-    3y^2+42y+234+42y^-1+3y^-2
+    Values add, subtract and scale by an integer; no two are multiplied.
+
+    >>> s = LaurentPolynomial({2: 3, 1: 42, 0: 228})  # S(t) of K3[2]
+    >>> print((2 * s).to_string("t"), substitute_y_plus_yinv(s).to_string("y"))
+    6t^2+84t+456 3y^2+42y+234+42y^-1+3y^-2
     """
 
     __slots__ = ("_terms", "_key")
@@ -71,10 +71,6 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, c: int) -> "LaurentPolynomial":
         return cls({0: c})
-
-    @classmethod
-    def variable(cls) -> "LaurentPolynomial":
-        return cls({1: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -153,39 +149,12 @@ class LaurentPolynomial:
         return other - self
 
     def __mul__(self, other) -> "LaurentPolynomial":
-        if type(other) is int:
-            return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
+        """Scale by an exact integer; the one product the package forms."""
+        if not is_int(other):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
+        return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "LaurentPolynomial":
-        _check_int(exponent)
-        if exponent < 0:
-            # Only monomials are invertible in the Laurent ring.
-            if len(self._terms) == 1:
-                ((e, c),) = self._terms.items()
-                if c in (1, -1):
-                    inv = LaurentPolynomial({-e: c})
-                    return inv ** (-exponent)
-            raise ValueError("negative powers only defined for unit monomials")
-        result = LaurentPolynomial.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- substitutions -----------------------------------------------------
 

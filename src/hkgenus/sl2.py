@@ -97,6 +97,9 @@ def eigenvalue_polynomial(u: SL2Element) -> LaurentPolynomial:
     return LaurentPolynomial({2: 1, 1: -u.trace, 0: 1})
 
 
+_ZERO = LaurentPolynomial()  # t_r for every r <= 0; values are immutable, so one is shared
+
+
 def character(r: int) -> LaurentPolynomial:
     """The character t_r of the r-dimensional irreducible, as a polynomial in t.
 
@@ -105,7 +108,7 @@ def character(r: int) -> LaurentPolynomial:
     if not is_int(r):
         raise InputError(f"representation dimension must be an integer, got {quote(r)}")
     if r <= 0:
-        return LaurentPolynomial.zero()
+        return _ZERO
     return _character(r)
 
 

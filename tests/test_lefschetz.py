@@ -187,6 +187,27 @@ def test_supertrace_and_primitive_table_are_built_once_per_diamond(monkeypatch):
     assert supertrace_polynomial(d) is report.supertrace is result.supertrace
 
 
+def test_warm_rewrite_route_builds_only_its_result(monkeypatch):
+    # Rows p = n - 1 and n ask for t_0 and t_-1: one shared zero, built at import.
+    init = LaurentPolynomial.__init__
+    built = []
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for d in (K3, K3_2, builtin("K3[5]").diamond):
+        expected = supertrace_via_rewrite(d)  # characters cached
+        built.clear()
+        monkeypatch.setattr(LaurentPolynomial, "__init__", counted)
+        assert supertrace_via_rewrite(d) == expected
+        monkeypatch.undo()
+        assert len(built) == 1, d.name
+    assert character(0) is character(-3) == LaurentPolynomial.zero()
+    with pytest.raises(AttributeError):
+        character(0)._terms = {1: 1}
+
+
 def test_failing_diamonds_store_nothing_and_fail_alike(monkeypatch):
     calls = count_route_calls(monkeypatch)
     corrupted = [list(r) for r in builtin("K3[2]").diamond.rows]
@@ -319,10 +340,9 @@ def test_supertrace_by_brute_force_summation():
     # Independent oracle: sum (-1)^{p+q} t_{n-p+1} prim(p,q) with its own
     # character table, recomputed here from the recursion.
     def chars(up_to):
-        table = {0: LaurentPolynomial.zero(), 1: LaurentPolynomial.one(),
-                 2: LaurentPolynomial.variable()}
-        for r in range(3, up_to + 1):
-            table[r] = LaurentPolynomial.variable() * table[r - 1] - table[r - 2]
+        table = {0: LaurentPolynomial.zero(), 1: LaurentPolynomial.one()}
+        for r in range(2, up_to + 1):
+            table[r] = table[r - 1].shifted(1) - table[r - 2]
         return table
 
     for d in (K3, K3_2, builtin("K3[3]").diamond):

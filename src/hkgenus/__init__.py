@@ -16,8 +16,9 @@ floating point anywhere:
 
 See the demos/ directory for narrative walkthroughs of each capability and
 the ``hkgenus`` command line for batch use.  ``series`` and ``sampling``,
-which no command runs, are imported on first use of the module or of one of
-its names, so a command line call does not pay for them.
+which no command runs, and ``report`` (``IdentityReport``, the one dataclass)
+load on first use of the module or of one of its names: a command line call
+pays for none of them, nor for ``dataclasses`` unless it checks the identity.
 
 Every module-level memo (the characters t_r, the built-in catalog, the
 Goettsche expansions, the Riemann-Roch tables) is a ``functools.cache`` of a
@@ -49,7 +50,6 @@ from .sl2 import SL2Element, character, eigenvalue_polynomial, verify_character_
 from .lefschetz import (
     PrimitiveTable,
     RozanskyWittenResult,
-    IdentityReport,
     primitive_multiplicities,
     reconstruct_diamond,
     rozansky_witten_invariant,
@@ -80,11 +80,12 @@ __version__ = "0.1.0"
 _LAZY_MODULES = {
     "series": ("TruncatedSeries", "binomial_expand"),
     "sampling": ("random_primitive_table", "random_sl2", "random_structural_diamond"),
+    "report": ("IdentityReport",),
 }
 
 
 def __getattr__(name: str):
-    """Import ``series`` or ``sampling`` when it or one of its names is first asked for.
+    """Import a module of ``_LAZY_MODULES`` when it or one of its names is first asked for.
 
     The names are then stored here, so a later lookup is a plain attribute read.
     """

@@ -11,7 +11,8 @@ The limits on what comes in:
 * a JSON file holds at most ``MAX_INPUT_CHARS`` characters of UTF-8 text;
 * an integer has at most as many decimal digits as the interpreter converts
   (``sys.get_int_max_str_digits()``, 4300 by default);
-* JSON nesting deeper than the interpreter's recursion limit is refused.
+* JSON nesting deeper than the interpreter's recursion limit is refused;
+* a key given twice in one JSON object is refused.
 
 Results obey the same digit limit on the way out: the interpreter refuses to
 write a longer integer as text, and ``is_digit_limit_error`` recognizes that
@@ -26,6 +27,32 @@ from .errors import InputError
 
 MAX_INPUT_CHARS = 16 * 2**20
 SHORT = 60
+
+
+class Frozen:
+    """A value checked when built and immutable after: ``__init__`` stores the ``_fields``
+    in ``vars(self)``; ``repr``, ``==`` and ``hash`` read them; setting or deleting raises."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {quote(name)}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {quote(name)}")
 
 
 def shorten(text: str, limit: int = SHORT) -> str:
@@ -110,6 +137,7 @@ def parse_int(text: str, what: str) -> int:
 def read_json(path):
     """Read and decode one JSON document from a UTF-8 file."""
     import json
+    from collections import Counter
 
     where = shorten(str(path))
     with open(path, "r", encoding="utf-8") as handle:
@@ -119,8 +147,15 @@ def read_json(path):
             raise InputError(f"{where}: not UTF-8 text") from None
     if len(text) > MAX_INPUT_CHARS:
         raise InputError(f"{where}: more than {MAX_INPUT_CHARS} characters")
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeated = next(key for key, count in Counter(k for k, _ in pairs).items() if count > 1)
+            raise InputError(f"{where}: key {quote(repeated)} appears more than once in an object")
+        return obj
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{where}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -31,8 +31,7 @@ are read through ``boundary.read_json``, which states the size limits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .boundary import is_int, quote, read_json, write_json
 from .errors import InputError, InternalInconsistencyError, UnknownManifoldError
@@ -42,8 +41,7 @@ from .riemann_roch import ChernData
 MAX_HILBERT_POINTS = 5
 
 
-@dataclass(frozen=True)
-class ManifoldRecord:
+class ManifoldRecord(NamedTuple):
     """A named diamond with optional Chern numbers and a provenance note."""
 
     name: str

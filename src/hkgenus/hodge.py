@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
-from .boundary import is_int, quote
+from .boundary import Frozen, is_int, quote
 from .errors import DimensionMismatchError, InputError, ValidationError
 from .laurent import LaurentPolynomial
 
@@ -42,8 +41,7 @@ class ValidationLevel(enum.Enum):
     STRICT = "strict"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated invariant, located at table entry (p, q)."""
 
     kind: str
@@ -55,8 +53,7 @@ class Violation:
         return f"[{self.kind}] at (p={self.p}, q={self.q}): {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     level: ValidationLevel
     violations: tuple[Violation, ...]
 
@@ -84,8 +81,7 @@ class ClassicalValues(NamedTuple):
     signature: int
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(Frozen):
     """The (2n+1) x (2n+1) table h^{p,q}, rows indexed by p, columns by q.
 
     Construction enforces only the shape (square, odd side >= 3, integer
@@ -94,21 +90,20 @@ class HodgeDiamond:
     and reported on.  The table is immutable, so the symmetry scan and the
     primitive differences are computed once per diamond and every later check
     (``validate``, ``require_valid``, ``chi_y``, the primitive decomposition)
-    reads the stored results; they are not fields and take no part in ``==``,
-    ``hash`` or ``repr``.  ``hkgenus.lefschetz`` keeps the checked primitive
-    table and S(t) on the diamond in the same way.  A row p > n that is the
-    same object as row 2n-p (as ``reconstruct_diamond`` builds them) is not
-    type-checked again.  Once column symmetry holds, rows p > n are copies of
-    rows p <= n, so the scan's conjugation and sign checks and the genus read
-    rows p <= n only.
+    reads the stored results; they live in the instance ``__dict__`` and take
+    no part in ``==``, ``hash`` or ``repr``.  ``hkgenus.lefschetz`` keeps the
+    checked primitive table and S(t) on the diamond in the same way.  A row
+    p > n that is the same object as row 2n-p (as ``reconstruct_diamond``
+    builds them) is not type-checked again.  Once column symmetry holds, rows
+    p > n are copies of rows p <= n, so the scan's conjugation and sign checks
+    and the genus read rows p <= n only.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    name: str | None = field(default=None, compare=False)
+    _fields = ("rows", "name")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...], name: str | None = None):
+        rows = tuple(tuple(r) for r in rows)
+        vars(self).update(rows=rows, name=name)
         side = len(rows)
         if side < 3 or side % 2 == 0:
             raise DimensionMismatchError(
@@ -128,6 +123,9 @@ class HodgeDiamond:
                 if not is_int(value):
                     raise DimensionMismatchError(
                         f"entry ({p}, {q}) is not an integer: {quote(value)}")
+
+    def _key(self) -> tuple:
+        return (self.rows,)  # the name takes no part in == or hash
 
     @property
     def n(self) -> int:

@@ -41,10 +41,11 @@ themselves, and the form spaces they act on, are out of scope.
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .boundary import is_int, quote
+from .boundary import Frozen, is_int, quote
 from .errors import (
     InputError,
     InternalInconsistencyError,
@@ -55,10 +56,13 @@ from .hodge import HodgeDiamond, ValidationLevel, list_violations
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 from .sl2 import SL2Element, character
 
+if TYPE_CHECKING:
+    from .report import IdentityReport
+
 # Attribute names under which a diamond keeps its checked primitive table and
 # its cross-checked S(t).  Like the diamond's own stored scan they live in the
-# instance ``__dict__``, not in dataclass fields, so ``==``, ``hash`` and
-# ``repr`` ignore them, and a diamond with equal rows starts without them.
+# instance ``__dict__``, outside the fields ``==``, ``hash`` and ``repr``
+# read, and a diamond with equal rows starts without them.
 # Threads racing on a new diamond each compute and store the same value.
 _PRIMITIVE_TABLE = "_primitive_table"
 _SUPERTRACE = "_supertrace"
@@ -70,30 +74,28 @@ def _accumulate(total: list[int], poly: LaurentPolynomial, weight: int) -> None:
         total[e] += weight * c
 
 
-@dataclass(frozen=True)
-class PrimitiveTable:
+class PrimitiveTable(Frozen):
     """Multiplicities prim(p, q) of highest-weight vectors, 0 <= p <= n.
 
     Row p lists, across the 2n+1 columns q, how many copies of the
     (n-p+1)-dimensional irreducible start at (p, q).
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("n", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not is_int(self.n):
-            raise InputError(f"n must be an integer, got {quote(self.n)}")
-        if self.n < 1:
-            raise InputError(f"n must be positive, got {quote(self.n)}")
-        if len(rows) != self.n + 1:
-            raise InputError(f"expected {quote(self.n + 1)} rows, got {len(rows)}")
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(r) for r in rows)
+        vars(self).update(n=n, rows=rows)
+        if not is_int(n):
+            raise InputError(f"n must be an integer, got {quote(n)}")
+        if n < 1:
+            raise InputError(f"n must be positive, got {quote(n)}")
+        if len(rows) != n + 1:
+            raise InputError(f"expected {quote(n + 1)} rows, got {len(rows)}")
         for p, row in enumerate(rows):
-            if len(row) != 2 * self.n + 1:
+            if len(row) != 2 * n + 1:
                 raise InputError(
-                    f"row {p} has length {len(row)}, expected {2 * self.n + 1}")
+                    f"row {p} has length {len(row)}, expected {2 * n + 1}")
             if set(map(type, row)) == {int} and min(row) >= 0:
                 continue  # exact nonnegative ints need no closer look
             for q, value in enumerate(row):
@@ -202,15 +204,11 @@ def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
     return primitive_form
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of the supertrace identity, compared exactly."""
-
-    passed: bool
-    supertrace: LaurentPolynomial  # S(t), polynomial in the trace variable
-    lhs: LaurentPolynomial         # S(y + 1/y)
-    rhs: LaurentPolynomial         # chi_{-y} / y^n
-    name: str | None = None
+@functools.cache
+def _identity_report() -> type[IdentityReport]:
+    """``IdentityReport``, imported on the first check: only a check loads ``dataclasses``."""
+    from .report import IdentityReport
+    return IdentityReport
 
 
 def verify_supertrace_identity(d: HodgeDiamond) -> IdentityReport:
@@ -223,7 +221,7 @@ def verify_supertrace_identity(d: HodgeDiamond) -> IdentityReport:
     s_t = supertrace_polynomial(d)
     lhs = substitute_y_plus_yinv(s_t)
     rhs = d.normalized_genus()
-    return IdentityReport(lhs == rhs, s_t, lhs, rhs, d.name)
+    return _identity_report()(lhs == rhs, s_t, lhs, rhs, d.name)
 
 
 def supertrace_value(d: HodgeDiamond, u: SL2Element) -> int:
@@ -231,8 +229,7 @@ def supertrace_value(d: HodgeDiamond, u: SL2Element) -> int:
     return int(supertrace_polynomial(d).evaluate(u.trace))
 
 
-@dataclass(frozen=True)
-class RozanskyWittenResult:
+class RozanskyWittenResult(NamedTuple):
     """The mapping-torus invariant for monodromy u, plus S(t) symbolically.
 
     The invariant depends on u only through its trace, hence is constant on

@@ -41,10 +41,9 @@ import collections
 import functools
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .boundary import SHORT, is_digit_limit_error, is_int, quote, shorten
+from .boundary import SHORT, Frozen, is_digit_limit_error, is_int, quote, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
@@ -95,36 +94,34 @@ def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Frozen):
     """Formal Chern-number assignment for the degree-2n evaluation.
 
     ``values`` is stored in sorted key order, the order every output uses.
     """
 
-    n: int
-    values: Mapping[str, int]
+    _fields = ("n", "values")
 
-    def __post_init__(self):
-        _supported_n(self.n)
-        if not isinstance(self.values, Mapping):
+    def __init__(self, n: int, values: Mapping[str, int]):
+        _supported_n(n)
+        if not isinstance(values, Mapping):
             raise InputError("Chern numbers must map monomial keys to integers")
-        basis_keys = [key for key, _ in chern_basis(self.n)]
+        basis_keys = [key for key, _ in chern_basis(n)]
         cleaned: dict[str, int] = {}
-        for raw_key, value in dict(self.values).items():
+        for raw_key, value in dict(values).items():
             if not isinstance(raw_key, str):
                 raise InputError(
                     f"Chern monomial keys must be strings, got {quote(raw_key)}")
             key = raw_key.strip().lower().replace(" ", "")
             if key not in basis_keys:
-                raise InputError(f"unknown Chern monomial {quote(key)} for n = {self.n}; "
-                                 f"the keys for n = {self.n} are {', '.join(basis_keys)}")
+                raise InputError(f"unknown Chern monomial {quote(key)} for n = {n}; "
+                                 f"the keys for n = {n} are {', '.join(basis_keys)}")
             if key in cleaned:
                 raise InputError(f"Chern monomial {quote(key)} is given more than once")
             if not is_int(value):
                 raise InputError(f"Chern number for {quote(key)} must be an integer")
             cleaned[key] = value
-        object.__setattr__(self, "values", dict(sorted(cleaned.items())))
+        vars(self).update(n=n, values=dict(sorted(cleaned.items())))
 
     def value(self, key: str) -> int:
         if key not in self.values:

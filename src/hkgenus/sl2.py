@@ -19,29 +19,24 @@ t_{r+1} - t_{r-1} = y^r + y^-r.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .boundary import is_int, parse_int, quote
+from .boundary import Frozen, is_int, parse_int, quote
 from .errors import InputError
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 
 
-@dataclass(frozen=True)
-class SL2Element:
+class SL2Element(Frozen):
     """An integer 2x2 matrix (a b; c d) with determinant one."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for field_name in ("a", "b", "c", "d"):
-            value = getattr(self, field_name)
+    def __init__(self, a: int, b: int, c: int, d: int):
+        for field_name, value in zip(self._fields, (a, b, c, d)):
             if not is_int(value):
                 raise InputError(
                     f"matrix entry {field_name} must be an integer, got {quote(value)}")
-        det = self.a * self.d - self.b * self.c
+            vars(self)[field_name] = value
+        det = a * d - b * c
         if det != 1:
             raise InputError(f"determinant must be 1, got {quote(det)}")
 

@@ -109,6 +109,24 @@ def test_a_long_chern_key_is_quoted_by_its_own_length():
         ChernData(1, {"c" * 2**24: 24})
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"n": 1, "chern": {"c2": 999, "c2": 24}}', "c2"),
+    ('{"hodge": [[1]], "n": 1, "hodge": [[2]]}', "hodge"),
+    ('[{"a": 1}, {"b": [{"x": 1, "%s": 2, "%s": 3}]}]' % ("k" * 100, "k" * 100), "k" * 100),
+])
+def test_read_json_refuses_a_key_given_twice_in_one_object(tmp_path, text, key):
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(InputError) as info:
+        boundary.read_json(path)
+    assert str(info.value) == (
+        f"{boundary.shorten(str(path))}: key {boundary.quote(key)} appears more than once "
+        "in an object")
+    # The same key in two different objects, and keys equal up to case, are fine.
+    path.write_text('[{"c2": 1, "C2": 2}, {"c2": 3}]')
+    assert boundary.read_json(path) == [{"c2": 1, "C2": 2}, {"c2": 3}]
+
+
 def test_write_json_is_canonical(tmp_path):
     path = tmp_path / "out.json"
     boundary.write_json({"b": [1, 2], "a": HUGE % 1000}, path)

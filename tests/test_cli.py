@@ -12,7 +12,7 @@ from hkgenus.catalog import ManifoldRecord, builtin, builtin_names, save_manifol
 from hkgenus.cli import build_parser, main
 from hkgenus.hodge import HodgeDiamond
 from hkgenus.laurent import LaurentPolynomial
-from hkgenus.lefschetz import IdentityReport
+from hkgenus.report import IdentityReport
 
 
 def run(capsys, *argv):
@@ -384,6 +384,10 @@ BOUNDARY_INPUTS = {
     # An entry that is a list holding an 8 MiB string: quoted by its head only.
     "entry-list-of-long-string": ('{"name": "K3", "n": 1, "hodge": [[1, 0, 1], [0, ["%s"], 0], '
                                   '[1, 0, 1]]}' % ("x" * 2**23)).encode(),
+    # A key given twice in one object: the later value must not win silently.
+    "chern-key-twice": (K3_WITH_CHERN_KEY % 'c2": 999, "c2').encode(),
+    "hodge-twice": (b'{"name": "K3", "n": 1, "hodge": [[1, 0, 1], [0, 99, 0], [1, 0, 1]], '
+                    b'"hodge": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]}'),
 }
 
 

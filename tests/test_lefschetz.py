@@ -159,13 +159,13 @@ def count_route_calls(monkeypatch):
             return original(d)
 
         monkeypatch.setattr(hkgenus.lefschetz, name, counting)
-    post_init = PrimitiveTable.__post_init__
+    init = PrimitiveTable.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args):
         calls["table"] += 1
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(PrimitiveTable, "__post_init__", counting_post_init)
+    monkeypatch.setattr(PrimitiveTable, "__init__", counting_init)
     return calls
 
 

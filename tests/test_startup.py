@@ -13,8 +13,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# No command runs these, so a command line call must not import them.
-NOT_AT_STARTUP = ("fractions", "decimal", "json", "csv", "hkgenus.series", "hkgenus.sampling")
+# A command line call must not import these: no command runs the first six,
+# and only ``verify`` builds an ``IdentityReport``, the one dataclass, whose
+# module loads ``dataclasses`` and with it ``inspect``.
+NOT_AT_STARTUP = ("fractions", "decimal", "json", "csv", "hkgenus.series", "hkgenus.sampling",
+                  "dataclasses", "inspect", "hkgenus.report")
 
 
 def run_fresh(code: str) -> str:

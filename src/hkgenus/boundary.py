@@ -31,7 +31,11 @@ SHORT = 60
 
 class Frozen:
     """A value checked when built and immutable after: ``__init__`` stores the ``_fields``
-    in ``vars(self)``; ``repr``, ``==`` and ``hash`` read them; setting or deleting raises."""
+    in ``vars(self)``; ``repr``, ``==`` and ``hash`` read them; setting or deleting raises.
+
+    A subclass may override ``_key()``, the tuple ``==`` and ``hash`` compare.  All
+    state lives in ``vars(self)``, so ``pickle`` and ``copy`` rebuild a value as it was;
+    this class is the one place that defines ``__setattr__`` or ``__delattr__``."""
 
     _fields: tuple[str, ...] = ()
 

@@ -237,7 +237,7 @@ def record_to_json_dict(record: ManifoldRecord) -> dict:
         "hodge": [list(row) for row in record.diamond.rows],
     }
     if record.chern is not None:
-        obj["chern"] = dict(record.chern.values)
+        obj["chern"] = record.chern.values
     if record.provenance:
         obj["provenance"] = record.provenance
     return obj

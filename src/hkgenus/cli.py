@@ -252,12 +252,12 @@ def _cmd_rr(args):
             "y^n * S(y + 1/y) disagrees with the chi_{-y} pipeline")
     payload = {
         "n": args.n,
-        "chern": dict(data.values),
+        "chern": data.values,
         "chi_minus_y": chi_neg.to_string("y"),
         "supertrace_t": s_t.to_string("t"),
         "substitution_consistent": consistent,
     }
-    chern = ", ".join(f"{k}={v}" for k, v in data.values.items())
+    chern = ", ".join(f"{k}={v}" for k, v in data.pairs)
     lines = [
         f"n = {args.n}, chern: {chern}",
         f"chi_{{-y}} = {payload['chi_minus_y']}",

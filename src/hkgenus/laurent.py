@@ -4,10 +4,12 @@ A Laurent polynomial is a finite sum of terms c * v^k where the exponent k may
 be any integer, positive or negative.  Coefficients are plain ``int`` (so
 arbitrary precision comes for free) and no floating point is used anywhere.
 
-Values are immutable and canonical: zero coefficients are never stored, the
-zero polynomial has an empty coefficient map, and equality is coefficient-map
-equality.  That makes every identity check in this package an exact,
-zero-tolerance comparison.
+Values are immutable ``boundary.Frozen`` values and canonical: zero
+coefficients are never stored, the zero polynomial has an empty coefficient
+map, and equality is coefficient-map equality.  A polynomial compares equal
+only to a polynomial, never to an ``int`` (so ``==`` and ``hash`` agree); that
+makes every identity check in this package an exact, zero-tolerance
+comparison of two polynomials.
 
 The variable is anonymous; rendering picks a letter (``y`` by default; trace
 polynomials pass ``t`` to ``to_string``).
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from .boundary import is_int, quote
+from .boundary import Frozen, is_int, quote
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -31,7 +33,7 @@ def _check_int(value) -> int:
     return value
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Frozen):
     """An integer-coefficient polynomial in one variable and its inverse.
 
     Values add, subtract and scale by an integer; no two are multiplied.
@@ -40,8 +42,6 @@ class LaurentPolynomial:
     >>> print((2 * s).to_string("t"), substitute_y_plus_yinv(s).to_string("y"))
     6t^2+84t+456 3y^2+42y+234+42y^-1+3y^-2
     """
-
-    __slots__ = ("_terms", "_key")
 
     def __init__(self, terms: Coefficients = ()):
         terms = terms if type(terms) is dict else dict(terms)  # only read: ``cleaned`` is new
@@ -52,11 +52,10 @@ class LaurentPolynomial:
                 _check_int(exponent)
                 _check_int(coefficient)
         cleaned = {e: c for e, c in terms.items() if c != 0}
-        object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_key", tuple(sorted(cleaned.items())))
+        vars(self).update(_terms=cleaned, _items=tuple(sorted(cleaned.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPolynomial is immutable")
+    def _key(self) -> tuple:
+        return self._items
 
     # -- constructors ------------------------------------------------------
 
@@ -79,15 +78,15 @@ class LaurentPolynomial:
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs in ascending exponent order."""
-        return iter(self._key)
+        return iter(self._items)
 
     def degree(self) -> int | None:
         """Highest exponent, or None for the zero polynomial."""
-        return self._key[-1][0] if self._key else None
+        return self._items[-1][0] if self._items else None
 
     def valuation(self) -> int | None:
         """Lowest exponent, or None for the zero polynomial."""
-        return self._key[0][0] if self._key else None
+        return self._items[0][0] if self._items else None
 
     def is_palindromic(self) -> bool:
         """True when coefficient(k) == coefficient(-k) for every k."""
@@ -96,18 +95,8 @@ class LaurentPolynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __eq__(self, other) -> bool:
-        if is_int(other):
-            other = LaurentPolynomial.constant(other)
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     def __repr__(self) -> str:
-        return f"LaurentPolynomial({dict(self._key)!r})"
+        return f"LaurentPolynomial({dict(self._items)!r})"
 
     def __str__(self) -> str:
         return self.to_string("y")
@@ -198,10 +187,10 @@ class LaurentPolynomial:
         The format is golden-file friendly: no whitespace, explicit ``^`` for
         exponents other than 0 and 1, e.g. ``3y^2+42y+234+42y^-1+3y^-2``.
         """
-        if not self._key:
+        if not self._items:
             return "0"
         pieces: list[str] = []
-        for e, c in reversed(self._key):
+        for e, c in reversed(self._items):
             sign = "-" if c < 0 else ("+" if pieces else "")
             mag = abs(c)
             if e == 0:

@@ -59,10 +59,11 @@ from .sl2 import SL2Element, character
 if TYPE_CHECKING:
     from .report import IdentityReport
 
-# Attribute names under which a diamond keeps its checked primitive table and
-# its cross-checked S(t).  Like the diamond's own stored scan they live in the
-# instance ``__dict__``, outside the fields ``==``, ``hash`` and ``repr``
-# read, and a diamond with equal rows starts without them.
+# Keys under which a diamond keeps its checked primitive table and its
+# cross-checked S(t) in ``vars(d)``, read and written there the way
+# ``functools.cached_property`` keeps the diamond's own stored scan: outside
+# the fields ``==``, ``hash`` and ``repr`` read, and a diamond with equal rows
+# starts without them.
 # Threads racing on a new diamond each compute and store the same value.
 _PRIMITIVE_TABLE = "_primitive_table"
 _SUPERTRACE = "_supertrace"
@@ -121,11 +122,10 @@ def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
         raise ValidationError(
             "primitive multiplicities need a symmetric, nonnegative table:\n"
             + list_violations(symmetry))
-    table = getattr(d, _PRIMITIVE_TABLE, None)
-    if table is None:
-        table = PrimitiveTable(d.n, d.primitive_rows)
-        object.__setattr__(d, _PRIMITIVE_TABLE, table)
-    return table
+    stored = vars(d)
+    if _PRIMITIVE_TABLE not in stored:
+        stored[_PRIMITIVE_TABLE] = PrimitiveTable(d.n, d.primitive_rows)
+    return stored[_PRIMITIVE_TABLE]
 
 
 def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:
@@ -190,9 +190,9 @@ def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
     rewrite cannot be caused by input data and raises
     InternalInconsistencyError.
     """
-    stored = getattr(d, _SUPERTRACE, None)
-    if stored is not None:
-        return stored
+    stored = vars(d)
+    if _SUPERTRACE in stored:
+        return stored[_SUPERTRACE]
     primitive_form = supertrace_via_primitives(d)
     rewritten_form = supertrace_via_rewrite(d)
     if primitive_form != rewritten_form:
@@ -200,7 +200,7 @@ def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
             "supertrace forms disagree: "
             f"primitive {primitive_form.to_string('t')} vs "
             f"rewrite {rewritten_form.to_string('t')}")
-    object.__setattr__(d, _SUPERTRACE, primitive_form)
+    stored[_SUPERTRACE] = primitive_form
     return primitive_form
 
 

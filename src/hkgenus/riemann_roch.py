@@ -97,7 +97,8 @@ def chern_basis(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
 class ChernData(Frozen):
     """Formal Chern-number assignment for the degree-2n evaluation.
 
-    ``values`` is stored in sorted key order, the order every output uses.
+    The numbers are kept as (key, number) pairs in sorted key order, the order
+    every output uses; ``values`` reads them into a new dict each time.
     """
 
     _fields = ("n", "values")
@@ -121,12 +122,20 @@ class ChernData(Frozen):
             if not is_int(value):
                 raise InputError(f"Chern number for {quote(key)} must be an integer")
             cleaned[key] = value
-        vars(self).update(n=n, values=dict(sorted(cleaned.items())))
+        vars(self).update(n=n, pairs=tuple(sorted(cleaned.items())))
+
+    def _key(self) -> tuple:
+        return (self.n, self.pairs)
+
+    @property
+    def values(self) -> dict[str, int]:
+        return dict(self.pairs)
 
     def value(self, key: str) -> int:
-        if key not in self.values:
+        values = self.values
+        if key not in values:
             raise InputError(f"Chern monomial {quote(key)} missing from data for n = {self.n}")
-        return self.values[key]
+        return values[key]
 
 
 # -- the multiplicative sequence ---------------------------------------------

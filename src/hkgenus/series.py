@@ -14,20 +14,18 @@ from __future__ import annotations
 import math
 from typing import Iterator, Mapping
 
-from .boundary import is_int, quote
+from .boundary import Frozen, is_int, quote
 from .errors import InputError
 
 Exponents = tuple[int, ...]
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A truncated power series in named variables.
 
     Two series are compatible (and comparable) only when they share the same
     variable list and truncation orders.
     """
-
-    __slots__ = ("variables", "limits", "_terms", "_key")
 
     def __init__(
         self,
@@ -55,13 +53,11 @@ class TruncatedSeries:
             if coeff != 0 and all(e <= l for e, l in zip(exps, limits)):
                 cleaned[exps] = cleaned.get(exps, 0) + coeff
         cleaned = {e: c for e, c in cleaned.items() if c != 0}
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "limits", limits)
-        object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_key", tuple(sorted(cleaned.items())))
+        vars(self).update(variables=variables, limits=limits, _terms=cleaned,
+                          _items=tuple(sorted(cleaned.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+    def _key(self) -> tuple:
+        return (self.variables, self.limits, self._items)
 
     # -- constructors ------------------------------------------------------
 
@@ -84,27 +80,15 @@ class TruncatedSeries:
 
     def terms(self) -> Iterator[tuple[Exponents, int]]:
         """Yield (exponents, coefficient) pairs in sorted exponent order."""
-        return iter(self._key)
+        return iter(self._items)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.limits == other.limits
-            and self._key == other._key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.variables, self.limits, self._key))
-
     def __repr__(self) -> str:
         return (
             f"TruncatedSeries({self.variables!r}, {self.limits!r}, "
-            f"{dict(self._key)!r})"
+            f"{dict(self._items)!r})"
         )
 
     def _require_compatible(self, other: "TruncatedSeries"):

@@ -146,7 +146,10 @@ def test_primitive_multiplicities_lists_a_bounded_number_of_violations():
 def _rule_breaks(path):
     """Calls ``isinstance(..., bool)``, a ``type=int`` keyword, ``repr(`` or
     ``!r`` inside a raise, ``json.dump(s)`` or ``json.load(s)``, and any
-    ``import threading``, ``global`` statement or ``lru_cache``."""
+    ``import threading``, ``global`` statement or ``lru_cache``; outside
+    ``boundary.py`` also a class's ``__slots__``, a ``def __setattr__`` or
+    ``__delattr__``, and ``object.__setattr__(...)``: ``Frozen`` is the one
+    way to be an immutable value."""
     tree = ast.parse(path.read_text(), str(path))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names)
@@ -171,6 +174,19 @@ def _rule_breaks(path):
                 and node.value.id == "json" and node.attr in ("dump", "dumps", "load", "loads")
                 and path.name != "boundary.py"):
             yield f"{path.name}:{node.lineno}: json.{node.attr}; use boundary.json_text or read_json"
+        if isinstance(node, ast.ClassDef) and path.name != "boundary.py":
+            for statement in node.body:
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+                if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                    yield f"{path.name}:{statement.lineno}: __slots__; use boundary.Frozen"
+        if (isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__")
+                and path.name != "boundary.py"):
+            yield f"{path.name}:{node.lineno}: def {node.name}; use boundary.Frozen"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object" and path.name != "boundary.py"):
+            yield f"{path.name}:{node.lineno}: object.__setattr__; use boundary.Frozen"
         if isinstance(node, ast.Raise) and node.exc is not None:
             for inner in ast.walk(node.exc):
                 if (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
@@ -200,6 +216,12 @@ def test_rule_check_sees_each_kind_of_break(tmp_path):
         "from functools import lru_cache\n"
         "@functools.lru_cache(maxsize=None)\n"
         "def g():\n"
-        "    global TABLE\n")
+        "    global TABLE\n"
+        "class Value:\n"
+        "    __slots__ = ('x',)\n"
+        "    def __setattr__(self, name, value):\n"
+        "        object.__setattr__(self, name, value)\n"
+        "    def __delattr__(self, name):\n"
+        "        pass\n")
     assert sorted(line.split(": ", 1)[0] for line in _rule_breaks(path)) == sorted(
-        f"sample.py:{line}" for line in (2, 3, 4, 5, 6, 7, 8, 9, 11))
+        f"sample.py:{line}" for line in (2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 16))

@@ -185,3 +185,11 @@ def test_big_integer_coefficients():
 def test_module_examples_run():
     result = doctest.testmod(hkgenus.laurent)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_a_polynomial_equals_only_a_polynomial():
+    assert LaurentPolynomial.constant(3) != 3 and not LaurentPolynomial.constant(3) == 3
+    assert LaurentPolynomial() != 0 and LaurentPolynomial.one() != 1
+    a, b = LaurentPolynomial({0: 3, 2: -1}), LaurentPolynomial([(2, -1), (0, 3), (1, 0)])
+    assert a == b and hash(a) == hash(b)
+    assert hash(LaurentPolynomial.constant(3)) == hash(LaurentPolynomial({0: 3}))

@@ -1,8 +1,9 @@
 """Value semantics of the package's record and validated value classes.
 
 For each class: the exact ``repr``, ``==`` and ``hash`` over its compared
-fields, refusal of assignment and deletion, keyword construction, and the type
-and text of every error its constructor raises.
+fields, a ``pickle`` and ``copy`` round trip, refusal of assignment and
+deletion, keyword construction, and the type and text of every error its
+constructor raises.
 """
 
 import copy
@@ -21,11 +22,13 @@ from hkgenus import (
     PrimitiveTable,
     RozanskyWittenResult,
     SL2Element,
+    TruncatedSeries,
     ValidationLevel,
     ValidationReport,
     Violation,
     builtin,
     builtin_names,
+    chi_minus_y_from_chern,
     primitive_multiplicities,
     rozansky_witten_invariant,
     verify_supertrace_identity,
@@ -108,16 +111,34 @@ def test_equality_and_hash_follow_the_compared_fields():
     for value, compared in literal_values():
         twin = type(value)(**{name: getattr(value, name) for name in arguments_of(value)})
         assert twin == value and not twin != value
-        if type(value) is not RozanskyWittenResult:  # a LaurentPolynomial does not pickle
-            assert pickle.loads(pickle.dumps(value)) == copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == copy.deepcopy(value) == value
         key = tuple(getattr(value, name) for name in compared)
         if type(value) is ChernData:
-            continue  # its values are a dict
+            key = (value.n, tuple(value.values.items()))  # each read of values is a new dict
         assert hash(twin) == hash(value) == hash(key), type(value).__name__
-    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-        hash(ChernData(1, {"c2": 24}))
-    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-        hash(builtin("K3"))
+    report = verify_supertrace_identity(builtin("K3[2]").diamond)
+    assert pickle.loads(pickle.dumps(report)) == copy.deepcopy(report) == report
+    k3 = builtin("K3")
+    assert hash(copy.deepcopy(k3)) == hash(k3) and hash(ChernData(1, {"C2": 24})) == hash(k3.chern)
+    # ``values`` is a new dict on each read, so writing to it leaves the built-in as it was.
+    k3.chern.values["c2"] = 999
+    assert builtin("K3").chern.values == {"c2": 24}
+    assert str(chi_minus_y_from_chern(1, builtin("K3").chern)) == "2y^2+20y+2"
+
+
+def test_polynomials_and_series_refuse_assignment_and_deletion_of_what_they_store():
+    polynomial = ("_terms", "_items")
+    series = ("variables", "limits", "_terms", "_items")
+    for value, stored in ((LaurentPolynomial({1: 2}), polynomial), (S_T, polynomial),
+                          (TruncatedSeries(("x",), (2,), {(1,): 3}), series),
+                          (TruncatedSeries(("x", "y"), (1, 1)), series)):
+        before = repr(value)
+        for name in stored:
+            with pytest.raises(AttributeError):
+                setattr(value, name, {})
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == before and sorted(vars(value)) == sorted(stored)
 
 
 def arguments_of(value):

@@ -78,7 +78,7 @@ from .catalog import (
 __version__ = "0.1.0"
 
 _LAZY_MODULES = {
-    "series": ("TruncatedSeries", "binomial_expand"),
+    "series": ("TruncatedSeries",),
     "sampling": ("random_primitive_table", "random_sl2", "random_structural_diamond"),
     "report": ("IdentityReport",),
 }
@@ -117,7 +117,6 @@ __all__ = [
     "ValidationLevel",
     "ValidationReport",
     "Violation",
-    "binomial_expand",
     "builtin",
     "builtin_names",
     "character",

@@ -85,10 +85,11 @@ class HodgeDiamond(Frozen):
     """The (2n+1) x (2n+1) table h^{p,q}, rows indexed by p, columns by q.
 
     Construction enforces only the shape (square, odd side >= 3, integer
-    entries); the symmetry and positivity invariants are checked explicitly
-    through :meth:`validate` so that deliberately broken tables can be built
-    and reported on.  The table is immutable, so the symmetry scan and the
-    primitive differences are computed once per diamond and every later check
+    entries) and that the name is a string or None; the symmetry and
+    positivity invariants are checked explicitly through :meth:`validate` so
+    that deliberately broken tables can be built and reported on.  The table
+    is immutable, so the symmetry scan and the primitive differences are
+    computed once per diamond and every later check
     (``validate``, ``require_valid``, ``chi_y``, the primitive decomposition)
     reads the stored results; they live in the instance ``__dict__`` and take
     no part in ``==``, ``hash`` or ``repr``.  ``hkgenus.lefschetz`` keeps the
@@ -102,6 +103,8 @@ class HodgeDiamond(Frozen):
     _fields = ("rows", "name")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], name: str | None = None):
+        if name is not None and not isinstance(name, str):
+            raise InputError(f"diamond name must be a string or None, got {quote(name)}")
         rows = tuple(tuple(r) for r in rows)
         vars(self).update(rows=rows, name=name)
         side = len(rows)

@@ -1,21 +1,21 @@
 """Truncated multivariate power series with exact integer coefficients.
 
-The reference engine for the catalog generating function: a sparse map from
-exponent tuples to big integers, with a hard per-variable truncation order.
-``catalog.goettsche_expand`` does not use it; the tests multiply Goettsche's
-product out with it and require the same diamonds.  Terms that
-exceed any variable's order are discarded deterministically during every
-operation, so multiplication is closed under truncation.  All exponents are
-nonnegative (this is a power series ring, not a Laurent ring).
+No CLI command, demo or library function runs this module: the benchmark
+tracer (``bench/tracer.py``) still wraps ``TruncatedSeries.__init__`` and
+``__mul__`` and reads ``terms()`` and ``limits``, so it stays, with only
+what the tracer reads, until the tracer's series hooks are removed.  A
+series is a sparse map from exponent tuples to big integers, with a hard
+per-variable truncation order.  Terms that exceed any variable's order are
+discarded during construction and multiplication, so multiplication is
+closed under truncation.  All exponents are nonnegative (this is a power
+series ring, not a Laurent ring).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Mapping
 
 from .boundary import Frozen, is_int, quote
-from .errors import InputError
 
 Exponents = tuple[int, ...]
 
@@ -59,31 +59,9 @@ class TruncatedSeries(Frozen):
     def _key(self) -> tuple:
         return (self.variables, self.limits, self._items)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables, limits) -> "TruncatedSeries":
-        return cls(variables, limits)
-
-    @classmethod
-    def one(cls, variables, limits) -> "TruncatedSeries":
-        return cls(variables, limits, {(0,) * len(tuple(variables)): 1})
-
-    @classmethod
-    def monomial(cls, variables, limits, coefficient: int, exponents) -> "TruncatedSeries":
-        return cls(variables, limits, {tuple(exponents): coefficient})
-
-    # -- inspection --------------------------------------------------------
-
-    def coefficient(self, exponents) -> int:
-        return self._terms.get(tuple(exponents), 0)
-
     def terms(self) -> Iterator[tuple[Exponents, int]]:
         """Yield (exponents, coefficient) pairs in sorted exponent order."""
         return iter(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __repr__(self) -> str:
         return (
@@ -91,29 +69,9 @@ class TruncatedSeries(Frozen):
             f"{dict(self._items)!r})"
         )
 
-    def _require_compatible(self, other: "TruncatedSeries"):
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.variables != other.variables or self.limits != other.limits:
             raise ValueError("incompatible series (variables or orders differ)")
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_compatible(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedSeries(self.variables, self.limits, out)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.variables, self.limits, {e: -c for e, c in self._terms.items()}
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_compatible(other)
         limits = self.limits
         out: dict[Exponents, int] = {}
         for e1, c1 in self._terms.items():
@@ -123,57 +81,3 @@ class TruncatedSeries(Frozen):
                     continue
                 out[e] = out.get(e, 0) + c1 * c2
         return TruncatedSeries(self.variables, limits, out)
-
-    # -- restriction and specialization --------------------------------------
-
-    def extract(self, var: str, order: int) -> "TruncatedSeries":
-        """Coefficient of var^order, as a series in the remaining variables."""
-        i = self.variables.index(var)
-        rest_vars = self.variables[:i] + self.variables[i + 1:]
-        rest_limits = self.limits[:i] + self.limits[i + 1:]
-        out: dict[Exponents, int] = {}
-        for e, c in self._terms.items():
-            if e[i] == order:
-                out[e[:i] + e[i + 1:]] = c
-        return TruncatedSeries(rest_vars, rest_limits, out)
-
-    def substitute_int(self, var: str, value: int) -> "TruncatedSeries":
-        """Specialize one variable to an integer value, exactly."""
-        i = self.variables.index(var)
-        rest_vars = self.variables[:i] + self.variables[i + 1:]
-        rest_limits = self.limits[:i] + self.limits[i + 1:]
-        out: dict[Exponents, int] = {}
-        for e, c in self._terms.items():
-            reduced = e[:i] + e[i + 1:]
-            out[reduced] = out.get(reduced, 0) + c * value ** e[i]
-        return TruncatedSeries(rest_vars, rest_limits, out)
-
-
-def binomial_expand(base: TruncatedSeries, exponent: int) -> TruncatedSeries:
-    """Expand (1 - m)^exponent for a single monomial m, truncated.
-
-    ``base`` must consist of exactly the constant term 1 and one further
-    monomial of positive total degree (whose coefficient may be any nonzero
-    integer, so both 1 - m and 1 + m shapes are accepted).  For negative
-    exponents this is the generalized binomial series, whose coefficients in
-    powers of m are all positive.
-    """
-    terms = dict(base.terms())
-    zero = (0,) * len(base.variables)
-    if terms.get(zero) != 1 or len(terms) != 2:
-        raise InputError("base must have the form 1 - m for a single monomial m")
-    ((exps, coeff),) = ((e, c) for e, c in terms.items() if e != zero)
-    if sum(exps) == 0:
-        raise InputError("the monomial m must have positive total degree")
-    # base = 1 + u with u = coeff * X^exps; expand (1 + u)^exponent.
-    max_k = min(l // e for e, l in zip(exps, base.limits) if e > 0)
-    if exponent >= 0:
-        max_k = min(max_k, exponent)
-    out: dict[Exponents, int] = {}
-    for k in range(max_k + 1):
-        if exponent >= 0:
-            binom = math.comb(exponent, k)
-        else:
-            binom = (-1) ** k * math.comb(-exponent + k - 1, k)
-        out[tuple(k * e for e in exps)] = binom * coeff**k
-    return TruncatedSeries(base.variables, base.limits, out)

@@ -28,6 +28,9 @@ LONG = "x" * 10**6
 HOSTILE_CALLS = {
     "goettsche-bigint": lambda: goettsche_expand(K3, HUGE),
     "goettsche-list-of-bigint": lambda: goettsche_expand(K3, [HUGE]),
+    "goettsche-base-named-by-a-list":
+        lambda: goettsche_expand(HodgeDiamond(K3.rows, name=[LONG]), 2),
+    "diamond-name-int": lambda: HodgeDiamond(K3.rows, name=5),
     "primitive-n-bigint": lambda: PrimitiveTable(HUGE, ()),
     "primitive-n-negative-bigint": lambda: PrimitiveTable(-HUGE, ()),
     "primitive-entry-string": lambda: PrimitiveTable(1, ((1, 0, 1), (0, LONG, 0))),

@@ -26,9 +26,9 @@ from hkgenus.errors import (
     ValidationError,
 )
 from hkgenus.hodge import HodgeDiamond, ValidationLevel
-from hkgenus.lefschetz import supertrace_polynomial
+from hkgenus.lefschetz import supertrace_polynomial, verify_supertrace_identity
 from hkgenus.riemann_roch import ChernData
-from hkgenus.series import TruncatedSeries, binomial_expand
+from reference_series import hilbert_scheme_tables, symmetric_powers
 
 
 def test_builtin_names_in_catalog_order():
@@ -87,48 +87,32 @@ def dense_euler_expansion(euler: int, order: int) -> list[int]:
     return series
 
 
-def reference_product(base: HodgeDiamond, n_max: int) -> TruncatedSeries:
-    """Goettsche's product for a surface, multiplied out as a truncated series."""
-    variables = ("x", "y", "z")
-    limits = (2 * n_max, 2 * n_max, n_max)
-    product = TruncatedSeries.one(variables, limits)
-    for k in range(1, n_max + 1):
-        for p in range(3):
-            for q in range(3):
-                h = base.rows[p][q]
-                if h == 0:
-                    continue
-                sign = (-1) ** (p + q)
-                factor = TruncatedSeries(
-                    variables, limits,
-                    {(0, 0, 0): 1, (p + k - 1, q + k - 1, k): -sign})
-                product = product * binomial_expand(factor, -sign * h)
-    return product
-
-
 def reference_tables(base: HodgeDiamond, n_max: int) -> list[tuple]:
-    """The z^1..z^n_max coefficients of ``reference_product`` as square tables."""
-    product = reference_product(base, n_max)
-    tables = []
-    for m in range(1, n_max + 1):
-        slice_m = product.extract("z", m)
-        side = 2 * m + 1
-        assert all(e[0] < side and e[1] < side for e, _ in slice_m.terms())
-        tables.append(tuple(
-            tuple(slice_m.coefficient((p, q)) for q in range(side)) for p in range(side)))
-    return tables
+    """F_1..F_n_max in the partition form of ``reference_series``, not Goettsche's product."""
+    return hilbert_scheme_tables(base.rows, n_max)
 
 
 def test_euler_specialization_matches_one_variable_expansion():
-    # Specializing x = y = -1 in the three-variable product reproduces the
+    # The signed sum of each table, x = y = -1 in the product, is the
     # one-variable Euler expansion term by term.
     n_max = 5
-    product = reference_product(builtin("K3").diamond, n_max)
-    one_variable = product.substitute_int("x", -1).substitute_int("y", -1)
     expected = dense_euler_expansion(24, n_max)
-    for m in range(n_max + 1):
-        assert one_variable.coefficient((m,)) == expected[m]
+    for m, rows in enumerate(reference_tables(builtin("K3").diamond, n_max), start=1):
+        assert sum((-1) ** (p + q) * h for p, row in enumerate(rows)
+                   for q, h in enumerate(row)) == expected[m]
     assert expected[2] == 324
+
+
+@pytest.mark.parametrize("rows, euler", [
+    (((1, 0, 1), (0, 20, 0), (1, 0, 1)), 24),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3),
+    (((1, 2, 1), (2, 4, 2), (1, 2, 1)), 0),
+], ids=["K3", "plane", "abelian"])
+def test_symmetric_powers_have_the_euler_numbers_of_macdonald(rows, euler):
+    # x = y = 1 turns e(S^(k)) into the Euler number of the k-th symmetric
+    # power, the z^k coefficient of (1 - z)^-e(S); an abelian surface has 0.
+    powers = symmetric_powers(rows, 6)
+    assert [sum(p.values()) for p in powers] == [1] + [comb(euler + k - 1, k) for k in range(1, 7)]
 
 
 # Symmetric surface tables ((a,b,a),(b,c,b),(a,b,a)): STRICT holds exactly when
@@ -144,7 +128,7 @@ symmetric_bases = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.int
 @example((1, 0, 0), 4)
 @example((1, 0, 0), 5)
 @example((2, 0, 20), 3)
-def test_expansion_matches_the_truncated_series_product(entries, n_max):
+def test_expansion_matches_the_partition_form(entries, n_max):
     a, b, c = entries
     base = HodgeDiamond(((a, b, a), (b, c, b), (a, b, a)), name="S")
     expected = reference_tables(base, n_max)
@@ -163,7 +147,7 @@ def test_expansion_matches_the_truncated_series_product(entries, n_max):
        st.integers(1, MAX_HILBERT_POINTS))
 @example([1, 7, 1, 7, 20, 7, 1, 7, 1], 5)
 @example([1, -7, 1, -7, 20, -7, 1, -7, 1], 5)
-def test_recurrence_matches_the_product_on_any_surface_table(entries, n_max):
+def test_recurrence_matches_the_partition_form_on_any_surface_table(entries, n_max):
     # Tables with h^{p,q} != 0 for odd p + q, or negative entries, never pass
     # STRICT, so only this test sees the recurrence's odd-sign terms.  The
     # second example's negative odd cells give tables with negative entries,
@@ -275,6 +259,48 @@ def test_k3_5_supertrace_from_the_character_product():
         5: 6, 4: 108, 3: 1032, 2: 6696, 1: 30336, 0: 78624}
     assert supertrace_polynomial(builtin("K3[5]").diamond).to_string("t") == (
         "6t^5+108t^4+1032t^3+6696t^2+30336t+78624")
+
+
+@pytest.mark.parametrize("h", [0, 20, 10**6])
+def test_geometric_diamonds_past_the_catalog_scale(h):
+    # The recurrence runs past MAX_HILBERT_POINTS here, so the identity is
+    # checked on Hilbert schemes of up to 12 points on a K3-type surface.
+    n_max = 12
+    base = HodgeDiamond(((1, 0, 1), (0, h, 0), (1, 0, 1)))
+    tables = list(_goettsche_tables(base, n_max))
+    assert tables == reference_tables(base, n_max)
+    traces = character_trace_product(h, n_max)
+    eulers = dense_euler_expansion(h + 4, n_max)
+    for m, rows in enumerate(tables, start=1):
+        diamond = HodgeDiamond(rows)
+        assert diamond.validate(ValidationLevel.STRICT).ok
+        assert verify_supertrace_identity(diamond).passed
+        assert dict(supertrace_polynomial(diamond).terms()) == traces[m]
+        assert diamond.classical_values().euler == eulers[m]
+    if h == 20:
+        assert supertrace_polynomial(HodgeDiamond(tables[7])).to_string("t") == (
+            "9t^8+174t^7+1821t^6+13638t^5+80940t^4+395886t^3+1589391t^2+4892934t+8995479")
+
+
+PLANE_BETTI = {
+    1: (1, 1, 1),
+    2: (1, 2, 3, 2, 1),
+    3: (1, 2, 5, 6, 5, 2, 1),
+    4: (1, 2, 6, 10, 13, 10, 6, 2, 1),
+    5: (1, 2, 6, 12, 21, 24, 21, 12, 6, 2, 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PLANE_BETTI))
+def test_hilbert_schemes_of_the_plane_have_the_betti_numbers_of_ellingsrud_stromme(n):
+    # Ellingsrud and Stromme (Invent. Math. 87, 1987) count the cells of
+    # (P^2)^[n]; all its cohomology is algebraic, so the diamond is diagonal.
+    # Neither the partition form nor the recurrence is how they were found.
+    plane = HodgeDiamond(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    expected = tuple(tuple(b if p == q else 0 for q in range(2 * n + 1))
+                     for p, b in enumerate(PLANE_BETTI[n]))
+    assert reference_tables(plane, n)[n - 1] == expected
+    assert list(_goettsche_tables(plane, n))[n - 1] == expected
 
 
 def test_builtin_eulers_match_one_variable_expansion():

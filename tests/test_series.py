@@ -1,59 +1,12 @@
-"""Unit tests for truncated multivariate series and the binomial expander."""
+"""Unit tests for truncated multivariate series."""
 
-import math
 import random
 
 import pytest
 
-from hkgenus.errors import InputError
-from hkgenus.series import TruncatedSeries, binomial_expand
+from hkgenus.series import TruncatedSeries
 
 V1 = ("z",)
-L1 = (3,)
-
-
-def one_minus(vars_, limits, exps, coeff=1):
-    zero = (0,) * len(vars_)
-    return TruncatedSeries(vars_, limits, {zero: 1, tuple(exps): -coeff})
-
-
-def test_geometric_series():
-    expanded = binomial_expand(one_minus(V1, L1, (1,)), -1)
-    assert expanded == TruncatedSeries(V1, L1, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
-
-
-def test_negative_power_24():
-    expanded = binomial_expand(one_minus(V1, (2,), (1,)), -24)
-    assert expanded.coefficient((0,)) == 1
-    assert expanded.coefficient((1,)) == 24
-    assert expanded.coefficient((2,)) == math.comb(25, 2) == 300
-
-
-def test_identity_exponent():
-    base = one_minus(("x", "y", "z"), (2, 2, 2), (1, 1, 1))
-    assert binomial_expand(base, 1) == base
-
-
-def test_positive_power_with_plus_monomial():
-    # (1 + z)^3 enters as 1 - (-z) raised to 3.
-    base = one_minus(V1, L1, (1,), coeff=-1)
-    expanded = binomial_expand(base, 3)
-    assert expanded == TruncatedSeries(V1, L1, {(0,): 1, (1,): 3, (2,): 3, (3,): 1})
-
-
-def test_negative_power_has_positive_coefficients_in_m():
-    expanded = binomial_expand(one_minus(V1, (3,), (1,)), -7)
-    assert all(c > 0 for _, c in expanded.terms())
-
-
-def test_binomial_base_validation():
-    with pytest.raises(InputError):
-        binomial_expand(TruncatedSeries(V1, L1, {(0,): 2, (1,): -1}), -1)
-    with pytest.raises(InputError):
-        binomial_expand(TruncatedSeries(V1, L1, {(0,): 1}), -1)
-    with pytest.raises(InputError):
-        binomial_expand(
-            TruncatedSeries(V1, L1, {(0,): 1, (1,): -1, (2,): -1}), -1)
 
 
 def naive_mul(a: dict, b: dict, limits) -> dict:
@@ -88,32 +41,8 @@ def test_construction_truncates_and_cleans():
     assert dict(s.terms()) == {(2,): 7}
 
 
-def test_extract_coefficient_slice():
-    s = TruncatedSeries(("x", "z"), (2, 2), {(0, 0): 1, (1, 1): 4, (2, 1): 5, (0, 2): 6})
-    slice1 = s.extract("z", 1)
-    assert slice1.variables == ("x",)
-    assert dict(slice1.terms()) == {(1,): 4, (2,): 5}
-
-
-def test_substitute_int():
-    s = TruncatedSeries(("x", "z"), (2, 2), {(0, 0): 1, (1, 1): 4, (2, 2): 3})
-    at_minus_one = s.substitute_int("x", -1)
-    assert at_minus_one.variables == ("z",)
-    assert dict(at_minus_one.terms()) == {(0,): 1, (1,): -4, (2,): 3}
-
-
 def test_incompatible_series_rejected():
     a = TruncatedSeries(("x",), (2,), {(1,): 1})
     b = TruncatedSeries(("y",), (2,), {(1,): 1})
     with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
         a * b
-
-
-def test_add_and_neg():
-    a = TruncatedSeries(V1, L1, {(1,): 2})
-    b = TruncatedSeries(V1, L1, {(1,): -2, (2,): 1})
-    assert dict((a + b).terms()) == {(2,): 1}
-    assert dict((-a).terms()) == {(1,): -2}
-    assert dict((a - a).terms()) == {}

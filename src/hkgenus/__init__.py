@@ -22,10 +22,10 @@ pays for none of them, nor for ``dataclasses`` unless it checks the identity.
 
 Every module-level memo (the characters t_r, the built-in catalog, the
 Goettsche expansions, the Riemann-Roch tables) is a ``functools.cache`` of a
-pure function, whose ``cache_info()`` counts hits and misses; a diamond keeps
-its own scan, primitive table and S(t).  Values are deterministic and no lock
-is taken: threads racing on a cold entry may compute it twice, and every
-caller still gets an equal value.
+pure function, whose ``cache_info()`` counts hits and misses; what one diamond
+derives (its scan, primitive table and S(t)) it keeps by ``Frozen._kept``.
+Values are deterministic and no lock is taken: threads racing on a cold entry
+may compute it twice, and every caller still gets an equal value.
 """
 
 import importlib

@@ -35,9 +35,17 @@ class Frozen:
 
     A subclass may override ``_key()``, the tuple ``==`` and ``hash`` compare.  All
     state lives in ``vars(self)``, so ``pickle`` and ``copy`` rebuild a value as it was;
-    this class is the one place that defines ``__setattr__`` or ``__delattr__``."""
+    this class is the one place that defines ``__setattr__`` or ``__delattr__``.  What a
+    value derives from its fields it keeps through ``_kept``, outside the fields."""
 
     _fields: tuple[str, ...] = ()
+
+    def _kept(self, key: str, build):
+        """``vars(self)[key]``, set to ``build(self)`` once; a raising ``build`` stores nothing."""
+        stored = vars(self)
+        if key not in stored:
+            stored[key] = build(self)
+        return stored[key]
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

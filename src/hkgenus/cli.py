@@ -241,9 +241,8 @@ def _cmd_rw(args):
 
 
 def _cmd_rr(args):
-    given = vars(args)
-    data = ChernData(args.n, {key: given[key] for _, key, _ in _CHERN_FLAGS
-                              if given[key] is not None})
+    data = ChernData(args.n, {key: getattr(args, key) for _, key, _ in _CHERN_FLAGS
+                              if getattr(args, key) is not None})
     chi_neg = chi_minus_y_from_chern(args.n, data)
     s_t = supertrace_from_chern(args.n, data)
     consistent = substitute_y_plus_yinv(s_t).shifted(args.n) == chi_neg

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -88,12 +87,12 @@ class HodgeDiamond(Frozen):
     entries) and that the name is a string or None; the symmetry and
     positivity invariants are checked explicitly through :meth:`validate` so
     that deliberately broken tables can be built and reported on.  The table
-    is immutable, so the symmetry scan and the primitive differences are
-    computed once per diamond and every later check
-    (``validate``, ``require_valid``, ``chi_y``, the primitive decomposition)
-    reads the stored results; they live in the instance ``__dict__`` and take
-    no part in ``==``, ``hash`` or ``repr``.  ``hkgenus.lefschetz`` keeps the
-    checked primitive table and S(t) on the diamond in the same way.  A row
+    is immutable, so every check reads the symmetry scan, the primitive
+    differences and their negative entries, which ``Frozen._kept`` computes
+    once per diamond and stores in ``vars(self)`` under ``_symmetry_scan``,
+    ``_primitive_rows`` and ``_negative_primitives``; ``hkgenus.lefschetz``
+    keeps the primitive table and S(t) under ``_primitive_table`` and
+    ``_supertrace``.  None takes part in ``==``, ``hash`` or ``repr``.  A row
     p > n that is the same object as row 2n-p (as ``reconstruct_diamond``
     builds them) is not type-checked again.  Once column symmetry holds, rows
     p > n are copies of rows p <= n, so the scan's conjugation and sign checks
@@ -105,7 +104,10 @@ class HodgeDiamond(Frozen):
     def __init__(self, rows: tuple[tuple[int, ...], ...], name: str | None = None):
         if name is not None and not isinstance(name, str):
             raise InputError(f"diamond name must be a string or None, got {quote(name)}")
-        rows = tuple(tuple(r) for r in rows)
+        try:
+            rows = tuple(tuple(r) for r in rows)
+        except TypeError:
+            raise DimensionMismatchError(f"expected a sequence of rows, got {quote(rows)}") from None
         vars(self).update(rows=rows, name=name)
         side = len(rows)
         if side < 3 or side % 2 == 0:
@@ -159,10 +161,9 @@ class HodgeDiamond(Frozen):
         The table is scanned on the first call only; later calls return the
         same tuple.
         """
-        return self._symmetry_scan
+        return self._kept("_symmetry_scan", HodgeDiamond._scan_symmetries)
 
-    @cached_property
-    def _symmetry_scan(self) -> tuple[Violation, ...]:
+    def _scan_symmetries(self) -> tuple[Violation, ...]:
         n, rows = self.n, self.rows
         # Whole-table comparisons settle the common case of a valid table.  Given
         # column symmetry (row p > n is row 2n-p), conjugation and nonnegativity of
@@ -183,20 +184,22 @@ class HodgeDiamond(Frozen):
                                                f"!= {quote(rows[r][s])} = h^{{{r},{s}}}"))
         return tuple(found)
 
-    @cached_property
+    @property
     def primitive_rows(self) -> tuple[tuple[int, ...], ...]:
         """The differences h^{p,q} - h^{p-2,q} for 0 <= p <= n, h^{p,q} = 0 for p < 0.
 
         On a table that passes :meth:`symmetry_violations` these are the
         primitive multiplicities of the sl(2) decomposition.
         """
+        return self._kept("_primitive_rows", HodgeDiamond._primitive_differences)
+
+    def _primitive_differences(self) -> tuple[tuple[int, ...], ...]:
         rows = self.rows
         return rows[:2] + tuple(
             tuple(map(operator.sub, rows[p], rows[p - 2]))
             for p in range(2, self.n + 1))
 
-    @cached_property
-    def _negative_primitives(self) -> tuple[Violation, ...]:
+    def _find_negative_primitives(self) -> tuple[Violation, ...]:
         return tuple(
             Violation("negative_primitive", p, q,
                       f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {quote(value)} is negative")
@@ -213,7 +216,8 @@ class HodgeDiamond(Frozen):
         """
         if not isinstance(level, ValidationLevel):
             raise InputError(f"level must be a ValidationLevel, got {quote(level)}")
-        found = self.symmetry_violations() or self._negative_primitives
+        found = (self.symmetry_violations()
+                 or self._kept("_negative_primitives", HodgeDiamond._find_negative_primitives))
         if level is ValidationLevel.STRICT:
             found += tuple(
                 Violation("irreducibility", p, q,

@@ -4,12 +4,12 @@ A Laurent polynomial is a finite sum of terms c * v^k where the exponent k may
 be any integer, positive or negative.  Coefficients are plain ``int`` (so
 arbitrary precision comes for free) and no floating point is used anywhere.
 
-Values are immutable ``boundary.Frozen`` values and canonical: zero
-coefficients are never stored, the zero polynomial has an empty coefficient
-map, and equality is coefficient-map equality.  A polynomial compares equal
-only to a polynomial, never to an ``int`` (so ``==`` and ``hash`` agree); that
-makes every identity check in this package an exact, zero-tolerance
-comparison of two polynomials.
+Values are immutable ``boundary.Frozen`` values and canonical: a value stores
+one tuple of its (exponent, coefficient) pairs with nonzero coefficients, in
+ascending exponent order, and equality is equality of those tuples.  A
+polynomial compares equal only to a polynomial, never to an ``int`` (so ``==``
+and ``hash`` agree); that makes every identity check in this package an exact,
+zero-tolerance comparison of two polynomials.
 
 The variable is anonymous; rendering picks a letter (``y`` by default; trace
 polynomials pass ``t`` to ``to_string``).
@@ -44,15 +44,14 @@ class LaurentPolynomial(Frozen):
     """
 
     def __init__(self, terms: Coefficients = ()):
-        terms = terms if type(terms) is dict else dict(terms)  # only read: ``cleaned`` is new
+        terms = terms if type(terms) is dict else dict(terms)  # only read, never kept
         # Exact ``int`` everywhere passes one set test; anything else gets the
         # full per-term check, which raises at the first bad term in order.
         if not {*map(type, terms), *map(type, terms.values())} <= {int}:
             for exponent, coefficient in terms.items():
                 _check_int(exponent)
                 _check_int(coefficient)
-        cleaned = {e: c for e, c in terms.items() if c != 0}
-        vars(self).update(_terms=cleaned, _items=tuple(sorted(cleaned.items())))
+        vars(self)["_items"] = tuple(sorted([(e, c) for e, c in terms.items() if c]))
 
     def _key(self) -> tuple:
         return self._items
@@ -74,7 +73,7 @@ class LaurentPolynomial(Frozen):
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        return dict(self._items).get(exponent, 0)
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs in ascending exponent order."""
@@ -90,10 +89,10 @@ class LaurentPolynomial(Frozen):
 
     def is_palindromic(self) -> bool:
         """True when coefficient(k) == coefficient(-k) for every k."""
-        return all(c == self._terms.get(-e, 0) for e, c in self._terms.items())
+        return self._items == tuple((-e, c) for e, c in reversed(self._items))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._items)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({dict(self._items)!r})"
@@ -115,15 +114,15 @@ class LaurentPolynomial(Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
+        out = dict(self._items)
+        for e, c in other._items:
             out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()})
+        return LaurentPolynomial({e: -c for e, c in self._items})
 
     def __sub__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -141,7 +140,7 @@ class LaurentPolynomial(Frozen):
         """Scale by an exact integer; the one product the package forms."""
         if not is_int(other):
             return NotImplemented
-        return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
+        return LaurentPolynomial({e: c * other for e, c in self._items})
 
     __rmul__ = __mul__
 
@@ -149,14 +148,12 @@ class LaurentPolynomial(Frozen):
 
     def negate_variable(self) -> "LaurentPolynomial":
         """Substitute v -> -v, flipping the sign of odd-exponent terms."""
-        return LaurentPolynomial(
-            {e: c if e % 2 == 0 else -c for e, c in self._terms.items()}
-        )
+        return LaurentPolynomial({e: c if e % 2 == 0 else -c for e, c in self._items})
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by v^k."""
         _check_int(k)
-        return LaurentPolynomial({e + k: c for e, c in self._terms.items()})
+        return LaurentPolynomial({e + k: c for e, c in self._items})
 
     def evaluate(self, value: int) -> Union[int, Fraction]:
         """Evaluate at an integer point, exactly.
@@ -167,14 +164,12 @@ class LaurentPolynomial(Frozen):
         """
         _check_int(value)
         total: Union[int, Fraction] = 0
-        for e, c in self._terms.items():
+        for e, c in self._items:
             if e >= 0:
                 total += c * value**e
             else:
                 if value == 0:
-                    raise ZeroDivisionError(
-                        "cannot evaluate a negative exponent at 0"
-                    )
+                    raise ZeroDivisionError("cannot evaluate a negative exponent at 0")
                 from fractions import Fraction
                 total += Fraction(c, value**-e)
         return int(total) if total.denominator == 1 else total

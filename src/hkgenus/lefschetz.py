@@ -30,10 +30,10 @@ route adds weight * c for every term c t^e of t_r straight into the list, so
 it builds no polynomial per row.
 
 S(t) and the primitive table depend only on the diamond, so each is computed
-and cross-checked once per diamond and kept on it; later calls (the value at
-another element, the invariant, the decomposition) reuse the checked result.
-Every call still runs the validation it asks for, and a diamond that fails a
-check keeps nothing, so it fails again on every call.
+and cross-checked once per diamond and kept on it by ``Frozen._kept``; later
+calls (the value at another element, the invariant, the decomposition) reuse
+the checked result.  Every call still runs the validation it asks for, and a
+diamond that fails a check keeps nothing, so it fails again on every call.
 
 Only multiplicities are represented here; the raising and lowering operators
 themselves, and the form spaces they act on, are out of scope.
@@ -59,15 +59,6 @@ from .sl2 import SL2Element, character
 if TYPE_CHECKING:
     from .report import IdentityReport
 
-# Keys under which a diamond keeps its checked primitive table and its
-# cross-checked S(t) in ``vars(d)``, read and written there the way
-# ``functools.cached_property`` keeps the diamond's own stored scan: outside
-# the fields ``==``, ``hash`` and ``repr`` read, and a diamond with equal rows
-# starts without them.
-# Threads racing on a new diamond each compute and store the same value.
-_PRIMITIVE_TABLE = "_primitive_table"
-_SUPERTRACE = "_supertrace"
-
 
 def _accumulate(total: list[int], poly: LaurentPolynomial, weight: int) -> None:
     """Add ``weight * poly`` into ``total``, the coefficient list indexed by exponent."""
@@ -85,7 +76,10 @@ class PrimitiveTable(Frozen):
     _fields = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
-        rows = tuple(tuple(r) for r in rows)
+        try:
+            rows = tuple(tuple(r) for r in rows)
+        except TypeError:
+            raise InputError(f"expected a sequence of rows, got {quote(rows)}") from None
         vars(self).update(n=n, rows=rows)
         if not is_int(n):
             raise InputError(f"n must be an integer, got {quote(n)}")
@@ -122,10 +116,7 @@ def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
         raise ValidationError(
             "primitive multiplicities need a symmetric, nonnegative table:\n"
             + list_violations(symmetry))
-    stored = vars(d)
-    if _PRIMITIVE_TABLE not in stored:
-        stored[_PRIMITIVE_TABLE] = PrimitiveTable(d.n, d.primitive_rows)
-    return stored[_PRIMITIVE_TABLE]
+    return d._kept("_primitive_table", lambda d: PrimitiveTable(d.n, d.primitive_rows))
 
 
 def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:
@@ -184,15 +175,17 @@ def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
     """S(t), computed by both routes and checked for exact agreement.
 
     The routes run and are compared on the first call for a diamond only; the
-    agreed polynomial is then stored on the diamond and returned by later
-    calls.  A diamond whose table fails a check stores nothing, so every call
-    on it raises again.  Disagreement between the primitive form and the
-    rewrite cannot be caused by input data and raises
+    agreed polynomial is then kept on the diamond (``Frozen._kept``) and
+    returned by later calls.  A diamond whose table fails a check stores
+    nothing, so every call on it raises again.  Disagreement between the
+    primitive form and the rewrite cannot be caused by input data and raises
     InternalInconsistencyError.
     """
-    stored = vars(d)
-    if _SUPERTRACE in stored:
-        return stored[_SUPERTRACE]
+    return d._kept("_supertrace", _agreed_supertrace)
+
+
+def _agreed_supertrace(d: HodgeDiamond) -> LaurentPolynomial:
+    """S(t) by both routes, which must agree; each route is read from the module globals."""
     primitive_form = supertrace_via_primitives(d)
     rewritten_form = supertrace_via_rewrite(d)
     if primitive_form != rewritten_form:
@@ -200,7 +193,6 @@ def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
             "supertrace forms disagree: "
             f"primitive {primitive_form.to_string('t')} vs "
             f"rewrite {rewritten_form.to_string('t')}")
-    stored[_SUPERTRACE] = primitive_form
     return primitive_form
 
 

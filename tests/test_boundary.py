@@ -31,9 +31,12 @@ HOSTILE_CALLS = {
     "goettsche-base-named-by-a-list":
         lambda: goettsche_expand(HodgeDiamond(K3.rows, name=[LONG]), 2),
     "diamond-name-int": lambda: HodgeDiamond(K3.rows, name=5),
+    "diamond-rows-int": lambda: HodgeDiamond(5),
+    "diamond-rows-of-ints": lambda: HodgeDiamond([1, 2, 3]),
     "primitive-n-bigint": lambda: PrimitiveTable(HUGE, ()),
     "primitive-n-negative-bigint": lambda: PrimitiveTable(-HUGE, ()),
     "primitive-entry-string": lambda: PrimitiveTable(1, ((1, 0, 1), (0, LONG, 0))),
+    "primitive-rows-int": lambda: PrimitiveTable(1, 5),
     "primitive-entry-negative-bigint": lambda: PrimitiveTable(1, ((1, 0, 1), (0, -HUGE, 0))),
     "chern-n-bigint": lambda: ChernData(HUGE, {}),
     "chern-value-bigint-non-integral": lambda: chi_minus_y_from_chern(1, ChernData(1, {"c2": HUGE + 1})),
@@ -152,8 +155,13 @@ def _rule_breaks(path):
     ``import threading``, ``global`` statement or ``lru_cache``; outside
     ``boundary.py`` also a class's ``__slots__``, a ``def __setattr__`` or
     ``__delattr__``, and ``object.__setattr__(...)``: ``Frozen`` is the one
-    way to be an immutable value."""
+    way to be an immutable value.  ``cached_property`` anywhere, and outside
+    ``boundary.py`` a ``vars(`` call that is not inside an ``__init__``:
+    ``Frozen._kept`` is the one way for a value to keep what it derives."""
     tree = ast.parse(path.read_text(), str(path))
+    in_init = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+               for inner in ast.walk(node)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names)
                 or isinstance(node, ast.ImportFrom) and node.module == "threading"):
@@ -164,6 +172,14 @@ def _rule_breaks(path):
                 or isinstance(node, ast.Attribute) and node.attr == "lru_cache"
                 or isinstance(node, ast.alias) and node.name == "lru_cache"):
             yield f"{path.name}:{node.lineno}: lru_cache; use functools.cache"
+        if (isinstance(node, ast.Name) and node.id == "cached_property"
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                or isinstance(node, ast.alias) and node.name == "cached_property"):
+            yield f"{path.name}:{node.lineno}: cached_property; use Frozen._kept"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars" and id(node) not in in_init
+                and path.name != "boundary.py"):
+            yield f"{path.name}:{node.lineno}: vars( outside __init__; use Frozen._kept"
         if (isinstance(node, ast.keyword) and node.arg == "type"
                 and isinstance(node.value, ast.Name) and node.value.id == "int"
                 and path.name != "boundary.py"):
@@ -225,6 +241,12 @@ def test_rule_check_sees_each_kind_of_break(tmp_path):
         "    def __setattr__(self, name, value):\n"
         "        object.__setattr__(self, name, value)\n"
         "    def __delattr__(self, name):\n"
-        "        pass\n")
+        "        pass\n"
+        "    def __init__(self, x):\n"
+        "        vars(self)['x'] = x\n"
+        "    @functools.cached_property\n"
+        "    def kept(self):\n"
+        "        stored = vars(self)\n"
+        "        return stored.setdefault('y', self.x)\n")
     assert sorted(line.split(": ", 1)[0] for line in _rule_breaks(path)) == sorted(
-        f"sample.py:{line}" for line in (2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 16))
+        f"sample.py:{line}" for line in (2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 16, 20, 22))

@@ -6,6 +6,10 @@ multiply, so S_{X x Y}(t) = S_X(t) S_Y(t), a route to S(t) that neither of
 the library's two routes takes.  The sl(2) strings multiply by
 Clebsch-Gordan, V_a (x) V_b = sum_{j < min(a, b)} V_{a+b-1-2j}, which gives
 the primitive table of the product without any subtraction.
+
+Disjoint unions are the additive oracle: the Hodge numbers of A + k B (A and k
+copies of B, of the same dimension) add cell by cell, and so do chi_y, S(t),
+the primitive table and every graded trace, since each is linear in the table.
 """
 
 import random
@@ -24,6 +28,7 @@ from hkgenus.lefschetz import (
     verify_supertrace_identity,
 )
 from hkgenus.sampling import random_sl2, random_structural_diamond
+from hkgenus.sl2 import SL2Element
 from reference_series import naive_convolution
 
 K3 = builtin("K3").diamond
@@ -102,3 +107,40 @@ def test_odd_cohomology_gives_a_zero_supertrace():
     assert verify_supertrace_identity(product).passed
     assert [list(r) for r in primitive_multiplicities(product).rows] == \
         clebsch_gordan(ABELIAN_SURFACE, K3)
+
+
+def diamond_sum(a: HodgeDiamond, b: HodgeDiamond, k: int = 1) -> HodgeDiamond:
+    """The Hodge table of A and k copies of B, summed cell by cell."""
+    return HodgeDiamond([[x + k * y for x, y in zip(a_row, b_row)]
+                         for a_row, b_row in zip(a.rows, b.rows)])
+
+
+def test_sums_of_random_diamonds_add_every_derived_value():
+    # Each sum is a fresh diamond, so nothing a summand keeps can leak into it.
+    rng = random.Random(2026)
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        a, b = random_structural_diamond(rng, n), random_structural_diamond(rng, n)
+        u = random_sl2(rng)
+        for k in (1, 2, 10**30):
+            total = diamond_sum(a, b, k)
+            assert total.validate(ValidationLevel.STRUCTURAL).ok
+            assert verify_supertrace_identity(total).passed
+            assert total.chi_y() == a.chi_y() + k * b.chi_y()
+            assert supertrace_polynomial(total) == (
+                supertrace_polynomial(a) + k * supertrace_polynomial(b))
+            assert [list(r) for r in primitive_multiplicities(total).rows] == [
+                [x + k * y for x, y in zip(a_row, b_row)]
+                for a_row, b_row in zip(primitive_multiplicities(a).rows,
+                                        primitive_multiplicities(b).rows)]
+            assert supertrace_value(total, u) == (
+                supertrace_value(a, u) + k * supertrace_value(b, u))
+
+
+def test_k3_2_beside_k3_times_k3():
+    union = diamond_sum(K3_2, kunneth(K3, K3))
+    assert supertrace_polynomial(union) == LaurentPolynomial({2: 7, 1: 122, 0: 628})
+    assert primitive_multiplicities(union).rows == (
+        (2, 0, 3, 0, 2), (0, 61, 0, 61, 0), (1, 0, 633, 0, 1))
+    assert supertrace_value(union, SL2Element.from_string("2,1;1,1")) == 1057
+    assert verify_supertrace_identity(union).passed

@@ -1,6 +1,5 @@
 """Unit tests for the multiplicity-level decomposition and the graded trace."""
 
-import functools
 import math
 import random
 
@@ -121,30 +120,28 @@ def test_primitive_table_checks_entries_in_order():
 
 def test_each_diamond_is_scanned_once(monkeypatch):
     computed = []
-    for name in ("_symmetry_scan", "primitive_rows"):
-        original = HodgeDiamond.__dict__[name].func
+    for name in ("_scan_symmetries", "_primitive_differences"):
+        original = getattr(HodgeDiamond, name)
 
         def counting(self, name=name, original=original):
             computed.append((name, self))
             return original(self)
 
-        prop = functools.cached_property(counting)
-        prop.__set_name__(HodgeDiamond, name)
-        monkeypatch.setattr(HodgeDiamond, name, prop)
+        monkeypatch.setattr(HodgeDiamond, name, counting)
     rng = random.Random(2024)
     diamond = random_structural_diamond(rng, 6)
     assert verify_supertrace_identity(diamond).passed
     supertrace_value(diamond, random_sl2(rng))
     primitive_multiplicities(diamond)
     assert sorted(computed, key=lambda c: c[0]) == [
-        ("_symmetry_scan", diamond), ("primitive_rows", diamond)]
+        ("_primitive_differences", diamond), ("_scan_symmetries", diamond)]
     # STRICT and STRUCTURAL validation share the scan.
     computed.clear()
     k3_2 = HodgeDiamond(K3_2.rows)
     rozansky_witten_invariant(k3_2, SL2Element(2, 1, 1, 1))
     verify_supertrace_identity(k3_2)
     assert sorted(computed, key=lambda c: c[0]) == [
-        ("_symmetry_scan", k3_2), ("primitive_rows", k3_2)]
+        ("_primitive_differences", k3_2), ("_scan_symmetries", k3_2)]
 
 
 def count_route_calls(monkeypatch):

@@ -8,6 +8,7 @@ built only that far into a list, tuple or dict), ``json_text`` what canonical
 JSON is: ``write_json`` writes it to a file and the CLI prints it.
 The limits on what comes in:
 
+* a file is named by a str or os.PathLike path, never by a descriptor;
 * a JSON file holds at most ``MAX_INPUT_CHARS`` characters of UTF-8 text;
 * an integer has at most as many decimal digits as the interpreter converts
   (``sys.get_int_max_str_digits()``, 4300 by default);
@@ -21,6 +22,7 @@ refusal so the CLI can report it as an input error.
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .errors import InputError
@@ -146,12 +148,19 @@ def parse_int(text: str, what: str) -> int:
         raise InputError(f"{what} {quote(text)} is not an integer") from None
 
 
+def _file_path(path):
+    """``path`` if it is a str or os.PathLike; ``open`` would take an int as a descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputError(f"a file path must be a string or os.PathLike, got {quote(path)}")
+    return path
+
+
 def read_json(path):
     """Read and decode one JSON document from a UTF-8 file."""
     import json
     from collections import Counter
 
-    where = shorten(str(path))
+    where = shorten(str(_file_path(path)))
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read(MAX_INPUT_CHARS + 1)
@@ -190,5 +199,5 @@ def json_text(obj) -> str:
 
 def write_json(obj, path) -> None:
     """Write ``json_text(obj)`` and a final newline."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(_file_path(path), "w", encoding="utf-8") as handle:
         handle.write(json_text(obj) + "\n")

@@ -73,6 +73,8 @@ def _log_derivative_terms(base: HodgeDiamond, n_max: int) -> list[list[tuple[int
     with s = (-1)^{p+q}, as (x exponent, y exponent, coefficient) triples with
     nonzero coefficients; index 0 holds an empty list.
     """
+    cells = [(p, q, h, (p + q) % 2) for p, row in enumerate(base.rows)
+             for q, h in enumerate(row) if h]
     terms: list[list[tuple[int, int, int]]] = [[]]
     for j in range(1, n_max + 1):
         table: dict[tuple[int, int], int] = {}
@@ -80,14 +82,10 @@ def _log_derivative_terms(base: HodgeDiamond, n_max: int) -> list[list[tuple[int
             r, rem = divmod(j, k)
             if rem:
                 continue
-            for p, row in enumerate(base.rows):
-                for q, h in enumerate(row):
-                    if h == 0:
-                        continue
-                    # s^{r+1} is +1 unless s = -1 and r is even.
-                    sign = -1 if (p + q) % 2 and r % 2 == 0 else 1
-                    key = ((p + k - 1) * r, (q + k - 1) * r)
-                    table[key] = table.get(key, 0) + sign * k * h
+            flip = r % 2 == 0  # s^{r+1} is +1 unless s = -1 and r is even
+            for p, q, h, odd in cells:
+                key = ((p + k - 1) * r, (q + k - 1) * r)
+                table[key] = table.get(key, 0) + (-k * h if odd and flip else k * h)
         # A term of D_j past x or y degree 2j would land in the z^j coefficient
         # D_j * F_0 outside its (2j+1) x (2j+1) table.
         stray = sorted(key for key, c in table.items() if c and max(key) > 2 * j)

@@ -200,11 +200,11 @@ class HodgeDiamond(Frozen):
             for p in range(2, self.n + 1))
 
     def _find_negative_primitives(self) -> tuple[Violation, ...]:
-        return tuple(
+        rows = self.primitive_rows
+        return () if min(map(min, rows)) >= 0 else tuple(
             Violation("negative_primitive", p, q,
                       f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {quote(value)} is negative")
-            for p, row in enumerate(self.primitive_rows) if min(row) < 0
-            for q, value in enumerate(row) if value < 0)
+            for p, row in enumerate(rows) for q, value in enumerate(row) if value < 0)
 
     def validate(self, level: ValidationLevel = ValidationLevel.STRUCTURAL) -> ValidationReport:
         """Check the invariants the stated level requires.
@@ -218,12 +218,13 @@ class HodgeDiamond(Frozen):
             raise InputError(f"level must be a ValidationLevel, got {quote(level)}")
         found = (self.symmetry_violations()
                  or self._kept("_negative_primitives", HodgeDiamond._find_negative_primitives))
-        if level is ValidationLevel.STRICT:
+        rows = self.rows
+        if level is ValidationLevel.STRICT and (rows[0][0], rows[1][0], rows[2][0]) != (1, 0, 1):
             found += tuple(
                 Violation("irreducibility", p, q,
-                          f"h^{{{p},{q}}} = {quote(self.rows[p][q])}, irreducibility forces {want}")
+                          f"h^{{{p},{q}}} = {quote(rows[p][q])}, irreducibility forces {want}")
                 for (p, q, want) in ((0, 0, 1), (1, 0, 0), (2, 0, 1))
-                if self.rows[p][q] != want)
+                if rows[p][q] != want)
         return ValidationReport(level, found)
 
     def require_valid(self, level: ValidationLevel = ValidationLevel.STRUCTURAL):

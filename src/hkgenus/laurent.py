@@ -156,23 +156,28 @@ class LaurentPolynomial(Frozen):
         return LaurentPolynomial({e + k: c for e, c in self._items})
 
     def evaluate(self, value: int) -> Union[int, Fraction]:
-        """Evaluate at an integer point, exactly.
+        """Evaluate at an integer point, exactly, by Horner's rule.
 
-        Terms with nonnegative exponents are summed as ints; negative exponents
-        produce exact Fractions.  The result collapses to an int whenever it is
-        integral (always the case at value = +-1).
+        With a lowest exponent e < 0, the sum times value^-e is an int divided
+        once into an exact Fraction.  The result collapses to an int whenever it
+        is integral (always the case at value = +-1).
         """
         _check_int(value)
-        total: Union[int, Fraction] = 0
-        for e, c in self._items:
-            if e >= 0:
-                total += c * value**e
-            else:
-                if value == 0:
-                    raise ZeroDivisionError("cannot evaluate a negative exponent at 0")
-                from fractions import Fraction
-                total += Fraction(c, value**-e)
-        return int(total) if total.denominator == 1 else total
+        items = self._items
+        if not items:
+            return 0
+        low = items[0][0]
+        if low < 0 and value == 0:
+            raise ZeroDivisionError("cannot evaluate a negative exponent at 0")
+        total, above = 0, items[-1][0]
+        for e, c in reversed(items):  # from the top exponent down
+            total = total * value ** (above - e) + c
+            above = e
+        if low >= 0:
+            return total * value**low
+        from fractions import Fraction
+        result = Fraction(total, value**-low)
+        return int(result) if result.denominator == 1 else result
 
     # -- rendering ---------------------------------------------------------
 

@@ -26,9 +26,13 @@ exactly.
 
 Todd coefficients such as 1/12 are not integers, but in w = u/M, M = (2n+2)!,
 every series has integer coefficients, and so does L_m = m! K_m; the one
-division, by n! M^n, builds the returned Fraction tables.  An integrality
-check guards the boundary, since every genus value is an integer and a
-non-integral result means inconsistent Chern data or a pipeline bug.
+division, by n! M^n, builds the returned Fraction tables.  A polynomial in y
+(or t) is a list of integer coefficients, a power sum p_k maps each partition
+(the k of each e_k) to an integer and L_m maps it to a list, all without the
+arithmetic of ``hkgenus.laurent``, so the Chern side checks the Hodge side
+independently.  An integrality check guards the boundary, since every genus
+value is an integer and a non-integral result means inconsistent Chern data
+or a pipeline bug.
 
 The construction works for every n (mixed keys such as c2c4 appear from n = 3
 on); the public functions stop at n = 2.  ChernData accepts a key exactly when,
@@ -49,10 +53,6 @@ from .laurent import LaurentPolynomial
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-# A polynomial in e_1, e_2, ... and y or t with integer coefficients:
-# (parts, exponent) -> int, where parts are the k of each e_k.
-Poly = dict[tuple[tuple[int, ...], int], int]
 
 # Values of n the public functions accept.
 _SUPPORTED_N = [1, 2]
@@ -140,28 +140,17 @@ class ChernData(Frozen):
 
 # -- the multiplicative sequence ---------------------------------------------
 
-def _sum(terms: list[tuple[int, Poly]]) -> Poly:
-    """The sum of scale * poly over ``terms``."""
-    out: Poly = {}
-    for scale, poly in terms:
-        for key, c in poly.items():
-            out[key] = out.get(key, 0) + scale * c
-    return {key: c for key, c in out.items() if c}
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials in y (or t) given as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, c in enumerate(b, i):
+                out[j] += x * c
+    return out
 
 
-def _mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for (parts_a, exp_a), ca in a.items():
-        for (parts_b, exp_b), cb in b.items():
-            parts = parts_a + parts_b  # already sorted when either holds no e_k
-            if parts_a and parts_b:
-                parts = tuple(sorted(parts))
-            key = (parts, exp_a + exp_b)
-            out[key] = out.get(key, 0) + ca * cb
-    return {key: c for key, c in out.items() if c}
-
-
-def _pair_series(n: int, kind: str, m: int) -> list[Poly]:
+def _pair_series(n: int, kind: str, m: int) -> list[list[int]]:
     """w^0..w^n coefficients of one pair's factor in w = u/m, normalised to 1 at w^0.
 
     As (2n+2)! divides m, the Todd denominator sum_k 2 u^k/(2k+2)! and cosh x =
@@ -171,25 +160,25 @@ def _pair_series(n: int, kind: str, m: int) -> list[Poly]:
     rational functions of y.  F(a0 w)/a0 has constant term 1 and polynomial
     coefficients F_k a0^(k-1), and since the exponents of a degree-n term of
     prod_i F(w_i) over n factors sum to n, the two products have the same
-    degree-n part.
+    degree-n part.  Each w^k coefficient is a coefficient list in y (or t).
     """
     todd = [1]
     for k in range(1, n + 1):
         todd.append(-sum(2 * m ** j // math.factorial(2 * j + 2) * todd[k - j]
                          for j in range(1, k + 1)))
     cosh = [m ** k // math.factorial(2 * k) for k in range(n + 1)]
-    series: list[Poly] = []
+    series: list[list[int]] = []
     for k in range(n + 1):
         cosh_part = -2 * sum(todd[j] * cosh[k - j] for j in range(k + 1))
         if kind == "genus":  # g = (1 + y^2) - 2 y cosh x
-            series.append({((), 0): todd[k], ((), 1): cosh_part, ((), 2): todd[k]})
+            series.append([todd[k], cosh_part, todd[k]])
         else:  # g = t - 2 cosh x
-            series.append({((), 0): cosh_part, ((), 1): todd[k]})
-    power: Poly = {((), 0): 1}
+            series.append([cosh_part, todd[k]])
+    power = [1]
     normalised = [power]
     for k in range(1, n + 1):
-        normalised.append(_mul(series[k], power))
-        power = _mul(power, series[0])
+        normalised.append(_convolve(series[k], power))
+        power = _convolve(power, series[0])
     return normalised
 
 
@@ -202,27 +191,39 @@ def _symbolic_coefficients(n: int, kind: str) -> tuple[tuple[str, tuple[tuple[in
     series = _pair_series(n, kind, scale)
     # w d/dw log F = sum_k d_k w^k, from k F_k = sum_{j=1..k} d_j F_{k-j}, and
     # Newton's identities p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k.
-    log_derivative: list[Poly] = [{}]
-    power_sums: list[Poly] = [{}]
+    # For j < k, d_j F_{k-j} has as many coefficients as F_k.
+    log_derivative: dict[int, list[int]] = {}
+    power_sums: dict[int, dict[tuple[int, ...], int]] = {}
     for k in range(1, n + 1):
-        log_derivative.append(_sum([(k, series[k])] + [
-            (-1, _mul(log_derivative[j], series[k - j])) for j in range(1, k)]))
-        power_sums.append(_sum([((-1) ** (k - 1) * k, {((k,), 0): 1})] + [
-            ((-1) ** (j - 1), _mul({((j,), 0): 1}, power_sums[k - j])) for j in range(1, k)]))
+        d = [k * c for c in series[k]]
+        p = {(k,): (-1) ** (k - 1) * k}
+        for j in range(1, k):
+            for i, c in enumerate(_convolve(log_derivative[j], series[k - j])):
+                d[i] -= c
+            for parts, c in power_sums[k - j].items():
+                key = tuple(sorted(parts + (j,)))
+                p[key] = p.get(key, 0) + (-1) ** (j - 1) * c
+        log_derivative[k], power_sums[k] = d, p
     # The multiplicative sequence in L_m = m! K_m, from m K_m = sum_{j=1..m} d_j p_j K_{m-j}:
-    # L_m = sum_{j=1..m} (m-1)!/(m-j)! d_j p_j L_{m-j}.
-    weighted = [_mul(d, p) for d, p in zip(log_derivative, power_sums)]
-    sequence: list[Poly] = [{((), 0): 1}]
+    # L_m = sum_{j=1..m} (m-1)!/(m-j)! d_j p_j L_{m-j}.  Each d_j L_{m-j}[parts] is
+    # formed once and added, times each coefficient of p_j, under the merged partition.
+    sequence: list[dict[tuple[int, ...], list[int]]] = [{(): [1]}]
     for m in range(1, n + 1):
-        sequence.append(_sum([(math.perm(m - 1, j - 1), _mul(weighted[j], sequence[m - j]))
-                              for j in range(1, m + 1)]))
+        out: dict[tuple[int, ...], list[int]] = {}
+        for j in range(1, m + 1):
+            weight = math.perm(m - 1, j - 1)
+            for parts, poly in sequence[m - j].items():
+                product = _convolve(log_derivative[j], poly)
+                for parts_p, c in power_sums[j].items():
+                    total = out.setdefault(tuple(sorted(parts + parts_p)), [0] * len(product))
+                    for i, x in enumerate(product):
+                        total[i] += weight * c * x
+        sequence.append(out)
     # K_n = L_n/n!, and e_k(w) = e_k(u)/M^k puts M^n under every degree-n monomial;
     # e_k -> (-1)^k c_{2k}: the signs of a degree-n monomial multiply to (-1)^n.
     denominator = math.factorial(n) * scale ** n
-    by_partition: dict[tuple[int, ...], dict[int, Fraction]] = collections.defaultdict(dict)
-    for (partition, exponent), c in sequence[n].items():
-        by_partition[partition][exponent] = Fraction((-1) ** n * c, denominator)
-    return tuple((key, tuple(sorted(by_partition[partition].items())))
+    return tuple((key, tuple((e, Fraction((-1) ** n * c, denominator))
+                             for e, c in enumerate(sequence[n].get(partition, ())) if c))
                  for key, partition in chern_basis(n))
 
 

@@ -47,6 +47,8 @@ class SL2Element(Frozen):
     @classmethod
     def from_string(cls, text: str) -> "SL2Element":
         """Parse the row-major syntax "a,b;c,d" (integers only)."""
+        if not isinstance(text, str):
+            raise InputError(f'matrix must be a string "a,b;c,d", got {quote(text)}')
         rows = text.strip().split(";")
         if len(rows) != 2:
             raise InputError(

@@ -7,13 +7,14 @@ else by its repr, cut after ``SHORT`` characters.
 """
 
 import ast
+import os
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from hkgenus import boundary, hodge
-from hkgenus.catalog import builtin, goettsche_expand
+from hkgenus.catalog import builtin, goettsche_expand, load_manifold, save_manifold
 from hkgenus.errors import InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond
 from hkgenus.lefschetz import PrimitiveTable, primitive_multiplicities
@@ -25,7 +26,22 @@ K3 = builtin("K3").diamond
 HUGE = 10**5000  # past the interpreter's 4300-digit int-to-str limit
 LONG = "x" * 10**6
 
+
+def _with_descriptor(call):
+    """``call(fd)`` on a descriptor of the null device, which must still be open after."""
+    def run():
+        fd = os.open(os.devnull, os.O_RDWR)
+        try:
+            call(fd)
+        finally:
+            os.fstat(fd)  # an OSError here if ``call`` closed the caller's descriptor
+            os.close(fd)
+    return run
+
+
 HOSTILE_CALLS = {
+    "load-manifold-descriptor": _with_descriptor(load_manifold),
+    "save-manifold-descriptor": _with_descriptor(lambda fd: save_manifold(builtin("K3"), fd)),
     "goettsche-bigint": lambda: goettsche_expand(K3, HUGE),
     "goettsche-list-of-bigint": lambda: goettsche_expand(K3, [HUGE]),
     "goettsche-base-named-by-a-list":
@@ -45,6 +61,8 @@ HOSTILE_CALLS = {
     "chern-key-power-of-5000-digits": lambda: ChernData(1, {"c2^" + "9" * 5000: 24}),
     "chern-key-arabic-indic-digit": lambda: ChernData(1, {"c\u0662": 24}),
     "sl2-entry-string": lambda: SL2Element(LONG, 0, 0, 1),
+    "sl2-from-string-int": lambda: SL2Element.from_string(5),
+    "sl2-from-string-long-list": lambda: SL2Element.from_string([LONG]),
     "diamond-asymmetric-bigint":
         lambda: HodgeDiamond(((1, 0, 1), (0, 20, 0), (HUGE, 0, 1))).require_valid(),
 }

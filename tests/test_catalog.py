@@ -156,6 +156,26 @@ def test_recurrence_matches_the_partition_form_on_any_surface_table(entries, n_m
     assert list(_goettsche_tables(base, n_max)) == reference_tables(base, n_max)
 
 
+@pytest.mark.parametrize("rows", [((1, 0, 1), (0, h, 0), (1, 0, 1)) for h in (0, 1, 20, 10**6)]
+                         + [((1, 2, 1), (2, 4, 2), (1, 2, 1))])
+def test_log_derivative_terms_follow_the_formula_cell_by_cell(rows):
+    # D_j = sum_{k r = j} sum_{p,q} k h^{p,q} s^{r+1} x^{(p+k-1) r} y^{(q+k-1) r},
+    # s = (-1)^{p+q}, over all nine cells: at h = 0 the middle cell adds nothing,
+    # and only the torus table has odd cells, whose sign flips with r.
+    want = [[]]
+    for j in range(1, 7):
+        table = {}
+        for k in range(1, j + 1):
+            if j % k == 0:
+                r = j // k
+                for p in range(3):
+                    for q in range(3):
+                        key = ((p + k - 1) * r, (q + k - 1) * r)
+                        table[key] = table.get(key, 0) + k * rows[p][q] * (-1) ** ((p + q) * (r + 1))
+        want.append([(a, b, c) for (a, b), c in sorted(table.items()) if c])
+    assert _log_derivative_terms(HodgeDiamond(rows), 6) == want
+
+
 def test_a_remainder_in_the_recurrence_is_an_internal_inconsistency(monkeypatch):
     def off_by_one(base, n_max):
         terms = _log_derivative_terms(base, n_max)

@@ -6,7 +6,7 @@ import pytest
 
 from hkgenus.catalog import builtin, load_manifold
 from hkgenus.errors import DimensionMismatchError, InputError, ValidationError
-from hkgenus.hodge import HodgeDiamond, ValidationLevel
+from hkgenus.hodge import HodgeDiamond, ValidationLevel, Violation
 from hkgenus.laurent import LaurentPolynomial
 
 K3_ROWS = ((1, 0, 1), (0, 20, 0), (1, 0, 1))
@@ -275,3 +275,26 @@ def test_a_shared_bad_row_is_reported_at_its_first_position(bad_row, message):
         with pytest.raises(DimensionMismatchError) as info:
             HodgeDiamond(rows)
         assert str(info.value) == message
+
+
+# STRICT reports on tables that fail only a corner, only a primitive, or both:
+# the early exits on a clean table must leave what a failing table reports.
+EARLY_EXIT_REPORTS = {
+    "corner": (
+        ((1, 1, 1), (1, 20, 1), (1, 1, 1)),
+        (Violation("irreducibility", 1, 0, "h^{1,0} = 1, irreducibility forces 0"),)),
+    "primitive": (
+        ((1, 0, 1, 0, 1), (0, 21, 0, 21, 0), (1, 0, 0, 0, 1), (0, 21, 0, 21, 0), (1, 0, 1, 0, 1)),
+        (Violation("negative_primitive", 2, 2, "h^{2,2} - h^{0,2} = -1 is negative"),)),
+    "both": (
+        ((2, 0, 2, 0, 2), (0, 21, 0, 21, 0), (2, 0, 1, 0, 2), (0, 21, 0, 21, 0), (2, 0, 2, 0, 2)),
+        (Violation("negative_primitive", 2, 2, "h^{2,2} - h^{0,2} = -1 is negative"),
+         Violation("irreducibility", 0, 0, "h^{0,0} = 2, irreducibility forces 1"),
+         Violation("irreducibility", 2, 0, "h^{2,0} = 2, irreducibility forces 1"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EARLY_EXIT_REPORTS))
+def test_strict_reports_what_fails_and_nothing_else(kind):
+    rows, violations = EARLY_EXIT_REPORTS[kind]
+    assert HodgeDiamond(rows).validate(ValidationLevel.STRICT).violations == violations

@@ -4,8 +4,11 @@ import collections
 import doctest
 import random
 import types
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hkgenus.laurent
 from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
@@ -73,6 +76,28 @@ def test_evaluate_exactly():
     assert p.evaluate(2) == 25  # 4 + 20 + 1
     with pytest.raises(ZeroDivisionError):
         p.evaluate(0)
+
+
+def _term_by_term(p: LaurentPolynomial, value: int):
+    """Sum of c * value^e over the terms, each negative power as an exact Fraction."""
+    total = sum((Fraction(c, value**-e) if e < 0 else c * value**e for e, c in p.terms()),
+                Fraction(0))
+    return int(total) if total.denominator == 1 else total
+
+
+@given(st.dictionaries(st.integers(-12, 40), st.integers(-10**30, 10**30), max_size=12),
+       st.sampled_from([0, 1, -1]) | st.integers(-10**6, 10**6))
+@example({-3: 5, 0: -1, 7: 2}, 0)
+@example({-1: 1}, -1)
+@example({}, 0)
+def test_evaluate_by_horner_matches_the_term_by_term_sum(terms, value):
+    p = LaurentPolynomial(terms)
+    if value == 0 and any(e < 0 for e, _ in p.terms()):
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(value)
+        return
+    got, want = p.evaluate(value), _term_by_term(p, value)
+    assert got == want and type(got) is type(want)
 
 
 def test_evaluate_is_ring_homomorphism():

@@ -220,7 +220,7 @@ def builtin_names() -> tuple[str, ...]:
 
 def builtin(name: str) -> ManifoldRecord:
     records = _catalog()
-    if name not in records:
+    if not isinstance(name, str) or name not in records:
         known = ", ".join(records)
         raise UnknownManifoldError(f"unknown built-in {quote(name)}; known: {known}")
     return records[name]

@@ -8,12 +8,13 @@ is honored trivially.
 
 Each subcommand is declared once: an ``add_parser`` site in ``build_parser``
 that attaches its ``_cmd_*`` handler with ``set_defaults(handler=...)``.  A
-handler takes the parsed arguments and returns ``(payload, lines, code)``:
-the payload dict that JSON and CSV are written from (without ``"command"``),
-the lines of the text form, and the exit code.  ``main`` is the one exit
-path: it names the command and renders, and it maps ``InputError``, the
-interpreter's digit-limit refusal and ``OSError`` to exit code 1 and
-``InternalInconsistencyError`` to 3.
+handler takes the parsed arguments and returns ``(payload, lines, table,
+code)``: the payload dict that JSON is written from (without ``"command"``),
+the lines of the text form, the rows of its CSV table, and the exit code.  A
+handler that returns ``None`` for its table gets the field,value rows of its
+payload as CSV.  ``main`` is the one exit path: it names the command and
+renders, and it maps ``InputError``, the interpreter's digit-limit refusal
+and ``OSError`` to exit code 1 and ``InternalInconsistencyError`` to 3.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _cmd_chi(args):
         f"todd       = {values.todd_genus}",
         f"signature  = {values.signature}",
     ]
-    return payload, lines, EXIT_OK
+    return payload, lines, None, EXIT_OK
 
 
 def _cmd_strace(args):
@@ -162,7 +163,7 @@ def _cmd_strace(args):
         value = supertrace_value(record.diamond, u)
         payload.update(matrix=u.to_string(), trace=u.trace, value=value)
         line += f"  S({u.trace})={value}"
-    return payload, [line], EXIT_OK
+    return payload, [line], None, EXIT_OK
 
 
 def _cmd_verify(args):
@@ -172,52 +173,54 @@ def _cmd_verify(args):
         records = [catalog_mod.builtin(name) for name in catalog_mod.builtin_names()]
     else:
         records = [_resolve_manifold(args)]
-    results, lines = [], []
+    table, lines = [("name", "n", "passed", "supertrace_t", "lhs", "rhs")], []
     for record in records:
         report = verify_supertrace_identity(record.diamond)
         n, lhs, rhs = record.diamond.n, report.lhs.to_string("y"), report.rhs.to_string("y")
-        results.append({"name": record.name, "n": n, "passed": report.passed,
-                        "supertrace_t": report.supertrace.to_string("t"),
-                        "lhs": lhs, "rhs": rhs})
+        table.append((record.name, n, report.passed, report.supertrace.to_string("t"), lhs, rhs))
         if report.passed:
             line = f"PASS  ST(t=y+1/y) = {lhs} = chi_{{-y}}/y^{n}"
         else:
             line = f"FAIL  ST(t=y+1/y) = {lhs} != {rhs} = chi_{{-y}}/y^{n}"
         lines.append(f"{record.name}: {line}" if len(records) > 1 else line)
+    results = [dict(zip(table[0], row)) for row in table[1:]]
     all_passed = all(r["passed"] for r in results)
     if len(records) > 1:
         lines.append("all passed" if all_passed else "FAILURES present")
     payload = {"results": results, "all_passed": all_passed}
-    return payload, lines, EXIT_OK if all_passed else EXIT_IDENTITY
+    return payload, lines, table, EXIT_OK if all_passed else EXIT_IDENTITY
 
 
 def _cmd_decompose(args):
     record = _resolve_manifold(args)
-    table = primitive_multiplicities(record.diamond)
+    pt = primitive_multiplicities(record.diamond)
     representations = [
         {
             "p": p,
-            "dimension": table.representation_dimension(p),
+            "dimension": pt.representation_dimension(p),
             "multiplicities": list(row),
             "total": sum(row),
         }
-        for p, row in enumerate(table.rows)
+        for p, row in enumerate(pt.rows)
     ]
     payload = {
         "name": record.name,
-        "n": table.n,
-        "primitive": [list(row) for row in table.rows],
+        "n": pt.n,
+        "primitive": [list(row) for row in pt.rows],
         "representations": representations,
     }
     lines = [
-        f"manifold: {record.name} (n={table.n})",
+        f"manifold: {record.name} (n={pt.n})",
         "primitive multiplicities prim(p,q), rows p=0..n, columns q=0..2n:",
-        *(f"  p={p}: {' '.join(map(str, row))}" for p, row in enumerate(table.rows)),
+        *(f"  p={p}: {' '.join(map(str, row))}" for p, row in enumerate(pt.rows)),
         "irreducible content (dimension n-p+1 against column q):",
         *(f"  p={rep['p']}: {rep['total']} string(s) of dimension {rep['dimension']}"
           f", per q {rep['multiplicities']}" for rep in representations),
     ]
-    return payload, lines, EXIT_OK
+    table = [("p", "dimension", "q", "multiplicity"),
+             *((rep["p"], rep["dimension"], q, value)
+               for rep in representations for q, value in enumerate(rep["multiplicities"]))]
+    return payload, lines, table, EXIT_OK
 
 
 def _cmd_rw(args):
@@ -237,7 +240,7 @@ def _cmd_rw(args):
         f"Z^RW[T_U] = {result.value}  (monodromy {payload['matrix']}, trace {result.trace})",
         f"S(t)={s_t}",
     ]
-    return payload, lines, EXIT_OK
+    return payload, lines, None, EXIT_OK
 
 
 def _cmd_rr(args):
@@ -287,20 +290,18 @@ def _cmd_rr(args):
                 f"hodge chi_{{-y}} = {payload['hodge_chi_minus_y']}, "
                 f"hodge S(t) = {payload['hodge_supertrace_t']}")
             code = EXIT_IDENTITY
-    return payload, lines, code
+    return payload, lines, None, code
 
 
 def _cmd_catalog(args):
-    entries = []
-    lines = [f"{'name':<8} {'n':>2} {'euler':>8} {'todd':>6} {'signature':>10}"]
+    table = [("name", "n", "euler", "todd", "signature")]
     for name in catalog_mod.builtin_names():
-        record = catalog_mod.builtin(name)
-        n, values = record.diamond.n, record.diamond.classical_values()
-        entries.append({"name": name, "n": n, "euler": values.euler,
-                        "todd": values.todd_genus, "signature": values.signature})
-        lines.append(f"{name:<8} {n:>2} {values.euler:>8} {values.todd_genus:>6}"
-                     f" {values.signature:>10}")
-    return {"entries": entries}, lines, EXIT_OK
+        d = catalog_mod.builtin(name).diamond
+        values = d.classical_values()
+        table.append((name, d.n, values.euler, values.todd_genus, values.signature))
+    entries = [dict(zip(table[0], row)) for row in table[1:]]
+    lines = ["{:<8} {:>2} {:>8} {:>6} {:>10}".format(*row) for row in table]
+    return {"entries": entries}, lines, table, EXIT_OK
 
 
 # -- rendering -----------------------------------------------------------------
@@ -318,27 +319,9 @@ def _flatten(payload, prefix=""):
     return rows
 
 
-def _csv_rows(command, payload):
-    if command == "catalog":
-        yield ("name", "n", "euler", "todd", "signature")
-        for e in payload["entries"]:
-            yield (e["name"], e["n"], e["euler"], e["todd"], e["signature"])
-    elif command == "verify":
-        yield ("name", "n", "passed", "supertrace_t", "lhs", "rhs")
-        for r in payload["results"]:
-            yield (r["name"], r["n"], r["passed"], r["supertrace_t"], r["lhs"], r["rhs"])
-    elif command == "decompose":
-        yield ("p", "dimension", "q", "multiplicity")
-        for rep in payload["representations"]:
-            for q, value in enumerate(rep["multiplicities"]):
-                yield (rep["p"], rep["dimension"], q, value)
-    else:
-        yield ("field", "value")
-        yield from _flatten(payload)
-
-
-def render(command, payload, lines, fmt: str) -> str:
-    """JSON and CSV are written from ``command`` and ``payload``; text joins ``lines``."""
+def render(command, payload, lines, table, fmt: str) -> str:
+    """JSON is written from ``command`` and ``payload``, CSV from ``table`` (or,
+    when it is ``None``, the flattened payload); text joins ``lines``."""
     if fmt == "json":
         return json_text({"command": command, **payload})
     if fmt == "csv":
@@ -347,7 +330,7 @@ def render(command, payload, lines, fmt: str) -> str:
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(_csv_rows(command, payload))
+        writer.writerows(table or [("field", "value"), *_flatten(payload)])
         return buffer.getvalue().rstrip("\n")
     return "\n".join(lines)
 
@@ -355,8 +338,8 @@ def render(command, payload, lines, fmt: str) -> str:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        payload, lines, code = args.handler(args)
-        text = render(args.command, payload, lines, args.format)
+        payload, lines, table, code = args.handler(args)
+        text = render(args.command, payload, lines, table, args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -376,7 +359,3 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     print(text)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,7 +36,8 @@ def _check_int(value) -> int:
 class LaurentPolynomial(Frozen):
     """An integer-coefficient polynomial in one variable and its inverse.
 
-    Values add, subtract and scale by an integer; no two are multiplied.
+    ``+`` and ``-`` take two polynomials and ``*`` scales by an integer; no
+    two polynomials are multiplied.
 
     >>> s = LaurentPolynomial({2: 3, 1: 42, 0: 228})  # S(t) of K3[2]
     >>> print((2 * s).to_string("t"), substitute_y_plus_yinv(s).to_string("y"))
@@ -59,16 +60,8 @@ class LaurentPolynomial(Frozen):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPolynomial":
-        return cls({0: c})
 
     # -- inspection --------------------------------------------------------
 
@@ -102,39 +95,21 @@ class LaurentPolynomial(Frozen):
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "LaurentPolynomial":
-        if isinstance(value, LaurentPolynomial):
-            return value
-        if is_int(value):
-            return LaurentPolynomial.constant(value)
-        return NotImplemented
-
     def __add__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         out = dict(self._items)
         for e, c in other._items:
             out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial({e: -c for e, c in self._items})
 
     def __sub__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other) -> "LaurentPolynomial":
         """Scale by an exact integer; the one product the package forms."""

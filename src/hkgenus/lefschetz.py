@@ -128,6 +128,8 @@ def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:
     the column symmetry h^{p,q} = h^{2n-p,q}.  Exact inverse of
     :func:`primitive_multiplicities` on every valid input.
     """
+    if not isinstance(pt, PrimitiveTable):
+        raise InputError(f"expected a PrimitiveTable, got {quote(pt)}")
     n = pt.n
     rows = list(pt.rows[:2])
     for p in range(2, n + 1):

@@ -17,7 +17,7 @@ from hkgenus import boundary, hodge
 from hkgenus.catalog import builtin, goettsche_expand, load_manifold, save_manifold
 from hkgenus.errors import InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond
-from hkgenus.lefschetz import PrimitiveTable, primitive_multiplicities
+from hkgenus.lefschetz import PrimitiveTable, primitive_multiplicities, reconstruct_diamond
 from hkgenus.riemann_roch import ChernData, chi_minus_y_from_chern
 from hkgenus.sl2 import SL2Element
 
@@ -54,6 +54,8 @@ HOSTILE_CALLS = {
     "primitive-entry-string": lambda: PrimitiveTable(1, ((1, 0, 1), (0, LONG, 0))),
     "primitive-rows-int": lambda: PrimitiveTable(1, 5),
     "primitive-entry-negative-bigint": lambda: PrimitiveTable(1, ((1, 0, 1), (0, -HUGE, 0))),
+    "reconstruct-from-a-diamond": lambda: reconstruct_diamond(builtin("K3[2]").diamond),
+    "builtin-named-by-a-list": lambda: builtin([LONG]),
     "chern-n-bigint": lambda: ChernData(HUGE, {}),
     "chern-value-bigint-non-integral": lambda: chi_minus_y_from_chern(1, ChernData(1, {"c2": HUGE + 1})),
     "chern-key-long": lambda: ChernData(1, {LONG: 24}),
@@ -268,3 +270,44 @@ def test_rule_check_sees_each_kind_of_break(tmp_path):
         "        return stored.setdefault('y', self.x)\n")
     assert sorted(line.split(": ", 1)[0] for line in _rule_breaks(path)) == sorted(
         f"sample.py:{line}" for line in (2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 16, 20, 22))
+
+
+def _public_definitions(path):
+    """``module.name`` or ``module.Class.name`` of each public function, class
+    and method that ``path`` defines, with the bare name."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                if isinstance(inner, kinds) and not inner.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{inner.name}", inner.name
+
+
+def _names_used(path):
+    """Each identifier ``path`` names: a Name, an attribute, an import alias
+    (either side of ``as``, each part of a dotted module) or an identifier string."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def test_every_public_definition_is_named_by_library_demo_or_bench_code():
+    # The tests do not count: a helper only a test calls is a helper nothing uses.
+    root = SRC.parents[1]
+    code = [path for folder in ("src", "demos", "bench") for path in (root / folder).rglob("*.py")]
+    assert len(code) > 20
+    used = {name for path in code for name in _names_used(path)}
+    unused = [qualified for path in sorted(SRC.glob("*.py"))
+              for qualified, name in _public_definitions(path) if name not in used]
+    assert unused == []

@@ -56,6 +56,8 @@ def test_unknown_names_rejected():
         builtin("K3[1]")  # alias of K3 is deliberately not registered
     with pytest.raises(UnknownManifoldError):
         builtin("Kum2")
+    with pytest.raises(UnknownManifoldError):
+        builtin(["K3"])  # not a str, so not a name
 
 
 def test_first_coefficient_reproduces_the_surface():

@@ -55,7 +55,7 @@ def test_torus_structural_only():
     assert not strict.ok
     assert any(v.kind == "irreducibility" and (v.p, v.q) == (1, 0)
                for v in strict.violations)
-    assert torus.chi_y() == LaurentPolynomial.zero()
+    assert torus.chi_y() == LaurentPolynomial()
     assert torus.classical_values() == (0, 0, 0)
 
 

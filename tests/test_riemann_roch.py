@@ -218,15 +218,15 @@ def test_supertrace_k3_matches_hodge_side():
 
 def test_flat_torus_chern_data_gives_zero():
     zero = ChernData(1, {"c2": 0})
-    assert chi_minus_y_from_chern(1, zero) == LaurentPolynomial.zero()
-    assert supertrace_from_chern(1, zero) == LaurentPolynomial.zero()
+    assert chi_minus_y_from_chern(1, zero) == LaurentPolynomial()
+    assert supertrace_from_chern(1, zero) == LaurentPolynomial()
 
 
 def test_all_zero_chern_data_gives_zero_for_fourfolds():
     # Top-degree extraction of a degree-<2n expression: nothing survives.
     zero = ChernData(2, {"c2^2": 0, "c4": 0})
-    assert chi_minus_y_from_chern(2, zero) == LaurentPolynomial.zero()
-    assert supertrace_from_chern(2, zero) == LaurentPolynomial.zero()
+    assert chi_minus_y_from_chern(2, zero) == LaurentPolynomial()
+    assert supertrace_from_chern(2, zero) == LaurentPolynomial()
 
 
 def test_fourfold_agreements_with_frozen_constants():

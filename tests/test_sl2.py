@@ -49,14 +49,14 @@ def test_group_operations():
 def test_character_base_cases_and_convention():
     assert character(1) == LaurentPolynomial.one()
     assert character(2) == LaurentPolynomial({1: 1})
-    assert character(0) == LaurentPolynomial.zero()
-    assert character(-3) == LaurentPolynomial.zero()
+    assert character(0) == LaurentPolynomial()
+    assert character(-3) == LaurentPolynomial()
 
 
 def test_closed_form_matches_the_defining_recursion_from_cold():
     # The recursion t_{r+1} = t t_r - t_{r-1} is built here from LaurentPolynomial
     # shifts and differences alone; the characters are built cold and out of order.
-    recursion = [LaurentPolynomial.zero(), LaurentPolynomial.one()]
+    recursion = [LaurentPolynomial(), LaurentPolynomial.one()]
     while len(recursion) <= 300:
         recursion.append(recursion[-1].shifted(1) - recursion[-2])
     order = list(range(1, 301))
@@ -65,7 +65,7 @@ def test_closed_form_matches_the_defining_recursion_from_cold():
     for r in order:
         assert character(r) == recursion[r], r
     assert _character.cache_info().currsize == 300
-    assert character(0) == character(-3) == LaurentPolynomial.zero()
+    assert character(0) == character(-3) == LaurentPolynomial()
     for bad in (1.5, True):
         with pytest.raises(InputError) as info:
             character(bad)

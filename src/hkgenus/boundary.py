@@ -1,11 +1,12 @@
 """The input boundary: values that come from outside, and the rules for them.
 
-``is_int`` says what counts as an integer, ``quote`` how a caller's value
-enters an error message (an int past ``3 * SHORT`` bits by its size, a string
-by the ``repr`` of its first ``SHORT`` characters and its length, anything
-else by its ``repr``, cut to ``SHORT`` characters and "..." when longer and
-built only that far into a list, tuple or dict), ``json_text`` what canonical
-JSON is: ``write_json`` writes it to a file and the CLI prints it.
+``is_int`` says what counts as an integer, ``expect`` that a library argument
+has the type its call needs, ``quote`` how a caller's value enters an error
+message (an int past ``3 * SHORT`` bits by its size, a string by the ``repr``
+of its first ``SHORT`` characters and its length, anything else by its
+``repr``, cut to ``SHORT`` characters and "..." when longer and built only
+that far into a list, tuple or dict), ``json_text`` what canonical JSON is:
+``write_json`` writes it to a file and the CLI prints it.
 The limits on what comes in:
 
 * a file is named by a str or os.PathLike path, never by a descriptor;
@@ -122,6 +123,13 @@ def _repr_pieces(value, open_ids: set):
         yield from _repr_pieces(item, open_ids)
     open_ids.discard(id(value))
     yield ",)" if kind is tuple and len(value) == 1 else right
+
+
+def expect(value, kind: type):
+    """``value`` if it is an instance of ``kind``, else an InputError that quotes it."""
+    if not isinstance(value, kind):
+        raise InputError(f"expected a {kind.__name__}, got {quote(value)}")
+    return value
 
 
 def digit_limit() -> int:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, NamedTuple
 
-from .boundary import is_int, quote, read_json, write_json
+from .boundary import expect, is_int, quote, read_json, write_json
 from .errors import InputError, InternalInconsistencyError, UnknownManifoldError
 from .hodge import HodgeDiamond, ValidationLevel
 from .riemann_roch import ChernData
@@ -151,10 +151,10 @@ def goettsche_expand(base: HodgeDiamond, n_max: int) -> tuple[HodgeDiamond, ...]
     expansion is deterministic; ``goettsche_expand.cache_info`` and
     ``cache_clear`` reach the cache.
     """
-    # Checked before the cache lookup, where True and 1 would share a key.
-    if base.n != 1:
+    if expect(base, HodgeDiamond).n != 1:
         raise InputError(f"base must be a surface (3x3 table), got n = {base.n}")
     base.require_valid(ValidationLevel.STRICT)
+    # Checked before the cache lookup, where True and 1 would share a key.
     if not is_int(n_max) or not 1 <= n_max <= MAX_HILBERT_POINTS:
         raise InputError(f"n_max must be between 1 and {MAX_HILBERT_POINTS}, got {quote(n_max)}")
     return _goettsche_expand(base, n_max, base.name)
@@ -274,7 +274,7 @@ def record_from_json_dict(obj, level: ValidationLevel = ValidationLevel.STRUCTUR
 
 def save_manifold(record: ManifoldRecord, path) -> None:
     """Write the canonical serialization: sorted keys, two-space indent."""
-    write_json(record_to_json_dict(record), path)
+    write_json(record_to_json_dict(expect(record, ManifoldRecord)), path)
 
 
 def load_manifold(path, level: ValidationLevel = ValidationLevel.STRUCTURAL) -> ManifoldRecord:

@@ -7,14 +7,17 @@ check failure, 3 internal inconsistency.  Output is plain text, so NO_COLOR
 is honored trivially.
 
 Each subcommand is declared once: an ``add_parser`` site in ``build_parser``
-that attaches its ``_cmd_*`` handler with ``set_defaults(handler=...)``.  A
-handler takes the parsed arguments and returns ``(payload, lines, table,
-code)``: the payload dict that JSON is written from (without ``"command"``),
-the lines of the text form, the rows of its CSV table, and the exit code.  A
-handler that returns ``None`` for its table gets the field,value rows of its
-payload as CSV.  ``main`` is the one exit path: it names the command and
-renders, and it maps ``InputError``, the interpreter's digit-limit refusal
-and ``OSError`` to exit code 1 and ``InternalInconsistencyError`` to 3.
+that attaches its ``_cmd_*`` handler with ``set_defaults(handler=...)`` and
+one of two parent parsers, which declare the shared options once: ``output``
+(``--format``, for ``catalog``) or ``manifold`` (``--format``, ``--manifold``,
+``--input`` and ``--strict``).  A handler takes the parsed arguments and
+returns ``(payload, lines, table, code)``: the payload dict that JSON is
+written from (without ``"command"``), the lines of the text form, the rows of
+its CSV table, and the exit code.  A handler that returns ``None`` for its
+table gets the field,value rows of its payload as CSV.  ``main`` is the one
+exit path: it names the command and renders, and it maps ``InputError``, the
+interpreter's digit-limit refusal and ``OSError`` to exit code 1 and
+``InternalInconsistencyError`` to 3.
 """
 
 from __future__ import annotations
@@ -55,57 +58,40 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(shorten(message, 2 * SHORT))
 
 
-def _add_manifold_args(parser):
-    parser.add_argument("--manifold", metavar="NAME",
-                        help="built-in manifold name (see the catalog subcommand)")
-    parser.add_argument("--input", metavar="PATH",
-                        help="path to a .hodge.json manifold file")
-    parser.add_argument("--strict", action="store_true",
-                        help="force STRICT validation of the manifold")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                        help="output format (default text)")
+    manifold = _Parser(add_help=False, parents=[output])
+    manifold.add_argument("--manifold", metavar="NAME",
+                          help="built-in manifold name (see the catalog subcommand)")
+    manifold.add_argument("--input", metavar="PATH", help="path to a .hodge.json manifold file")
+    manifold.add_argument("--strict", action="store_true",
+                          help="force STRICT validation of the manifold")
     parser = _Parser(prog="hkgenus", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help):
-        p = sub.add_parser(name, help=help)
+    def command(name, handler, help, options=manifold):
+        p = sub.add_parser(name, help=help, parents=[options])
         p.set_defaults(handler=handler)
         return p
 
-    p = command("chi", _cmd_chi, "chi_y genus, chi_{-y}, and the classical values")
-    _add_manifold_args(p)
-
+    command("chi", _cmd_chi, "chi_y genus, chi_{-y}, and the classical values")
     p = command("strace", _cmd_strace, "graded-trace polynomial S(t), optionally evaluated")
-    _add_manifold_args(p)
     p.add_argument("--matrix", metavar='"a,b;c,d"', help="integer SL(2) element")
-
     p = command("verify", _cmd_verify, "check S(y+1/y) = chi_{-y}/y^n exactly")
-    _add_manifold_args(p)
     p.add_argument("--all-builtin", action="store_true",
                    help="verify every catalog entry in order")
-
-    p = command("decompose", _cmd_decompose, "primitive multiplicities and irreducible content")
-    _add_manifold_args(p)
-
+    command("decompose", _cmd_decompose, "primitive multiplicities and irreducible content")
     p = command("rw", _cmd_rw, "mapping-torus invariant of an integer monodromy")
-    _add_manifold_args(p)
-    p.add_argument("--matrix", metavar='"a,b;c,d"', required=True,
-                   help="monodromy in SL(2,Z)")
-
+    p.add_argument("--matrix", metavar='"a,b;c,d"', required=True, help="monodromy in SL(2,Z)")
     p = command("rr", _cmd_rr, "Riemann-Roch side from Chern numbers")
     p.add_argument("--n", type=partial(parse_int, what="--n"), required=True, metavar="N",
                    help="half complex dimension (1 or 2)")
     for flag, key, n in _CHERN_FLAGS:
         p.add_argument(flag, type=partial(parse_int, what=flag), dest=key, metavar="INT",
                        help=f"{key} (n={n})")
-    _add_manifold_args(p)
-
-    command("catalog", _cmd_catalog, "list built-in manifolds")
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text",
-                       help="output format (default text)")
+    command("catalog", _cmd_catalog, "list built-in manifolds", options=output)
     return parser
 
 

@@ -21,7 +21,7 @@ class DimensionMismatchError(InputError):
 class ValidationError(InputError):
     """A structurally well-shaped table that violates required invariants.
 
-    Carries the full validation report when one is available.
+    Carries ``report``, the ValidationReport, when ``HodgeDiamond.require_valid`` raises it.
     """
 
     def __init__(self, message, report=None):
@@ -30,7 +30,7 @@ class ValidationError(InputError):
 
 
 class NegativePrimitiveError(ValidationError):
-    """A primitive multiplicity h^{p,q} - h^{p-2,q} came out negative.
+    """A negative entry of a PrimitiveTable built from rows, raised only by its constructor.
 
     Such a table cannot arise from a compact hyper-Kahler manifold (it would
     violate hard Lefschetz for the symplectic form), so this is a property of

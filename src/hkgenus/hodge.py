@@ -63,15 +63,10 @@ class ValidationReport(NamedTuple):
     def summary(self) -> str:
         if self.ok:
             return f"pass ({self.level.value})"
-        return (f"fail ({self.level.value}), {len(self.violations)} violation(s):\n"
-                + list_violations(self.violations))
-
-
-def list_violations(violations: tuple[Violation, ...]) -> str:
-    """One indented line per violation, up to ``MAX_LISTED``, then how many more."""
-    more = len(violations) - MAX_LISTED
-    lines = [f"  {v}" for v in violations[:MAX_LISTED]]
-    return "\n".join(lines + [f"  ... and {more} more"] * (more > 0))
+        more = len(self.violations) - MAX_LISTED
+        lines = [f"fail ({self.level.value}), {len(self.violations)} violation(s):"]
+        lines += [f"  {v}" for v in self.violations[:MAX_LISTED]]
+        return "\n".join(lines + [f"  ... and {more} more"] * (more > 0))
 
 
 class ClassicalValues(NamedTuple):

@@ -45,14 +45,9 @@ import functools
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .boundary import Frozen, is_int, quote
-from .errors import (
-    InputError,
-    InternalInconsistencyError,
-    NegativePrimitiveError,
-    ValidationError,
-)
-from .hodge import HodgeDiamond, ValidationLevel, list_violations
+from .boundary import Frozen, expect, is_int, quote
+from .errors import InputError, InternalInconsistencyError, NegativePrimitiveError
+from .hodge import HodgeDiamond, ValidationLevel
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 from .sl2 import SL2Element, character
 
@@ -107,15 +102,11 @@ class PrimitiveTable(Frozen):
 def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
     """The table prim(p, q) = h^{p,q} - h^{p-2,q} for 0 <= p <= n.
 
-    Requires the symmetry invariants to hold; raises NegativePrimitiveError
-    when any entry comes out negative (the input then lies outside the
-    hyper-Kahler domain, a hard-Lefschetz violation for the 2-form).
+    Requires STRUCTURAL validity, else raises ValidationError, whose ``report``
+    lists every failing cell; a negative prim(p, q) puts the table outside the
+    hyper-Kahler domain (a hard-Lefschetz violation for the 2-form).
     """
-    symmetry = d.symmetry_violations()
-    if symmetry:
-        raise ValidationError(
-            "primitive multiplicities need a symmetric, nonnegative table:\n"
-            + list_violations(symmetry))
+    expect(d, HodgeDiamond).require_valid(ValidationLevel.STRUCTURAL)
     return d._kept("_primitive_table", lambda d: PrimitiveTable(d.n, d.primitive_rows))
 
 
@@ -128,9 +119,7 @@ def reconstruct_diamond(pt: PrimitiveTable) -> HodgeDiamond:
     the column symmetry h^{p,q} = h^{2n-p,q}.  Exact inverse of
     :func:`primitive_multiplicities` on every valid input.
     """
-    if not isinstance(pt, PrimitiveTable):
-        raise InputError(f"expected a PrimitiveTable, got {quote(pt)}")
-    n = pt.n
+    n = expect(pt, PrimitiveTable).n
     rows = list(pt.rows[:2])
     for p in range(2, n + 1):
         rows.append(tuple(map(operator.add, rows[p - 2], pt.rows[p])))
@@ -163,7 +152,7 @@ def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
     t_{n-p-1}, are added straight into one coefficient list, so no polynomial is
     built per row and the rows are not regrouped by character.
     """
-    n = d.n
+    n = expect(d, HodgeDiamond).n
     total = [0] * (n + 1)
     for p in range(n + 1):
         row = d.rows[p]
@@ -183,7 +172,7 @@ def supertrace_polynomial(d: HodgeDiamond) -> LaurentPolynomial:
     primitive form and the rewrite cannot be caused by input data and raises
     InternalInconsistencyError.
     """
-    return d._kept("_supertrace", _agreed_supertrace)
+    return expect(d, HodgeDiamond)._kept("_supertrace", _agreed_supertrace)
 
 
 def _agreed_supertrace(d: HodgeDiamond) -> LaurentPolynomial:
@@ -211,7 +200,7 @@ def verify_supertrace_identity(d: HodgeDiamond) -> IdentityReport:
     A pass certifies the graded-trace identity for every SL(2) element at
     once, since both sides depend on the element only through its trace.
     """
-    d.require_valid(ValidationLevel.STRUCTURAL)
+    expect(d, HodgeDiamond).require_valid(ValidationLevel.STRUCTURAL)
     s_t = supertrace_polynomial(d)
     lhs = substitute_y_plus_yinv(s_t)
     rhs = d.normalized_genus()
@@ -220,7 +209,7 @@ def verify_supertrace_identity(d: HodgeDiamond) -> IdentityReport:
 
 def supertrace_value(d: HodgeDiamond, u: SL2Element) -> int:
     """The graded trace of u: S(trace(u)), always an integer."""
-    return int(supertrace_polynomial(d).evaluate(u.trace))
+    return int(supertrace_polynomial(d).evaluate(expect(u, SL2Element).trace))
 
 
 class RozanskyWittenResult(NamedTuple):
@@ -241,6 +230,6 @@ def rozansky_witten_invariant(d: HodgeDiamond, u: SL2Element) -> RozanskyWittenR
     Requires STRICT validity: the invariant is only defined for irreducible
     compact hyper-Kahler Hodge structures.
     """
-    d.require_valid(ValidationLevel.STRICT)
-    s_t = supertrace_polynomial(d)
-    return RozanskyWittenResult(int(s_t.evaluate(u.trace)), s_t, u.trace)
+    expect(d, HodgeDiamond).require_valid(ValidationLevel.STRICT)
+    s_t, trace = supertrace_polynomial(d), expect(u, SL2Element).trace
+    return RozanskyWittenResult(int(s_t.evaluate(trace)), s_t, trace)

@@ -47,7 +47,7 @@ import math
 from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING
 
-from .boundary import SHORT, Frozen, is_digit_limit_error, is_int, quote, shorten
+from .boundary import SHORT, Frozen, expect, is_digit_limit_error, is_int, quote, shorten
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
@@ -264,7 +264,7 @@ def _from_chern(n: int, data: ChernData, coefficients) -> LaurentPolynomial:
     it from outside the package still sees every evaluation.
     """
     table = coefficients(n)
-    if data.n != n:
+    if expect(data, ChernData).n != n:
         raise InputError(f"Chern data is for n = {data.n}, requested n = {n}")
     den = math.lcm(*(c.denominator for poly in table.values() for c in poly.values()))
     total: dict[int, int] = {}

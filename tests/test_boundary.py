@@ -17,7 +17,17 @@ from hkgenus import boundary, hodge
 from hkgenus.catalog import builtin, goettsche_expand, load_manifold, save_manifold
 from hkgenus.errors import InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond
-from hkgenus.lefschetz import PrimitiveTable, primitive_multiplicities, reconstruct_diamond
+from hkgenus.lefschetz import (
+    PrimitiveTable,
+    primitive_multiplicities,
+    reconstruct_diamond,
+    rozansky_witten_invariant,
+    supertrace_polynomial,
+    supertrace_value,
+    supertrace_via_primitives,
+    supertrace_via_rewrite,
+    verify_supertrace_identity,
+)
 from hkgenus.riemann_roch import ChernData, chi_minus_y_from_chern
 from hkgenus.sl2 import SL2Element
 
@@ -67,6 +77,16 @@ HOSTILE_CALLS = {
     "sl2-from-string-long-list": lambda: SL2Element.from_string([LONG]),
     "diamond-asymmetric-bigint":
         lambda: HodgeDiamond(((1, 0, 1), (0, 20, 0), (HUGE, 0, 1))).require_valid(),
+    "value-at-a-string": lambda: supertrace_value(K3, "2,1;1,1"),
+    "rw-at-a-tuple": lambda: rozansky_witten_invariant(K3, (2, 1, 1, 1)),
+    "polynomial-of-rows": lambda: supertrace_polynomial(K3.rows),
+    "primitive-of-rows": lambda: primitive_multiplicities(K3.rows),
+    "primitive-route-of-rows": lambda: supertrace_via_primitives(K3.rows),
+    "rewrite-route-of-rows": lambda: supertrace_via_rewrite(K3.rows),
+    "verify-a-list": lambda: verify_supertrace_identity([[1]]),
+    "goettsche-of-a-record": lambda: goettsche_expand(builtin("K3"), 2),
+    "save-a-diamond": lambda: save_manifold(K3, os.devnull),
+    "chern-values-as-a-dict": lambda: chi_minus_y_from_chern(1, {"c2": 24}),
 }
 
 
@@ -75,6 +95,21 @@ def test_hostile_value_ends_in_a_short_input_error(kind):
     with pytest.raises(InputError) as info:
         HOSTILE_CALLS[kind]()
     assert all(len(line) <= 200 for line in str(info.value).splitlines())
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("value-at-a-string", "expected a SL2Element, got '2,1;1,1'"),
+    ("verify-a-list", "expected a HodgeDiamond, got [[1]]"),
+    ("goettsche-of-a-record",
+     "expected a HodgeDiamond, got ManifoldRecord(name='K3', diamond=HodgeDiamond(rows=((1, 0, ..."),
+    ("chern-values-as-a-dict", "expected a ChernData, got {'c2': 24}"),
+    ("reconstruct-from-a-diamond",
+     "expected a PrimitiveTable, got HodgeDiamond(rows=((1, 0, 1, 0, 1), (0, 21, 0, 21, 0), (1, 0..."),
+])
+def test_a_value_of_the_wrong_type_is_named_and_quoted(kind, message):
+    with pytest.raises(InputError) as info:
+        HOSTILE_CALLS[kind]()
+    assert str(info.value) == message
 
 
 def test_is_int_takes_exact_ints_only():

@@ -13,7 +13,7 @@ from hkgenus.errors import (
     NegativePrimitiveError,
     ValidationError,
 )
-from hkgenus.hodge import HodgeDiamond
+from hkgenus.hodge import HodgeDiamond, ValidationLevel
 from hkgenus.laurent import LaurentPolynomial
 from hkgenus.lefschetz import (
     PrimitiveTable,
@@ -56,10 +56,12 @@ def test_negative_primitive_detected():
         "fail (structural), 2 violation(s):\n"
         "  [negative_primitive] at (p=2, q=0): h^{2,0} - h^{0,0} = -1 is negative\n"
         "  [negative_primitive] at (p=2, q=4): h^{2,4} - h^{0,4} = -1 is negative")
-    with pytest.raises(NegativePrimitiveError) as info:
+    with pytest.raises(ValidationError) as info:
         primitive_multiplicities(diamond)
-    assert (info.value.p, info.value.q, info.value.value) == (2, 0, -1)
-    assert str(info.value) == "negative primitive multiplicity -1 at (p, q) = (2, 0)"
+    assert type(info.value) is ValidationError
+    assert [(v.kind, v.p, v.q) for v in info.value.report.violations] == [
+        ("negative_primitive", 2, 0), ("negative_primitive", 2, 4)]
+    assert str(info.value) == diamond.validate().summary()
 
 
 def test_primitive_requires_symmetric_table():
@@ -68,7 +70,7 @@ def test_primitive_requires_symmetric_table():
         primitive_multiplicities(HodgeDiamond(rows))
     assert type(info.value) is ValidationError
     assert str(info.value) == (
-        "primitive multiplicities need a symmetric, nonnegative table:\n"
+        "fail (structural), 4 violation(s):\n"
         "  [column_symmetry] at (p=0, q=0): h^{0,0} = 1 != 0 = h^{2,0}\n"
         "  [column_symmetry] at (p=0, q=2): h^{0,2} = 0 != 1 = h^{2,2}\n"
         "  [column_symmetry] at (p=2, q=0): h^{2,0} = 0 != 1 = h^{0,0}\n"
@@ -213,25 +215,27 @@ def test_failing_diamonds_store_nothing_and_fail_alike(monkeypatch):
     for p, q in ((0, 0), (0, 4), (4, 0), (4, 4)):
         negative[p][q] = 1  # symmetric, but prim(2, 0) = -1
     u = SL2Element(2, 1, 1, 1)
+    structural, strict = ValidationLevel.STRUCTURAL, ValidationLevel.STRICT
     calls_by_name = {
-        "verify": verify_supertrace_identity,
-        "polynomial": supertrace_polynomial,
-        "value": lambda d: supertrace_value(d, u),
-        "rw": lambda d: rozansky_witten_invariant(d, u),
-        "primitive": primitive_multiplicities,
+        "verify": (verify_supertrace_identity, structural),
+        "polynomial": (supertrace_polynomial, structural),
+        "value": (lambda d: supertrace_value(d, u), structural),
+        "rw": (lambda d: rozansky_witten_invariant(d, u), strict),
+        "primitive": (primitive_multiplicities, structural),
     }
     for rows in (corrupted, negative):
-        for name, call in calls_by_name.items():
+        for name, (call, level) in calls_by_name.items():
             errors = []
             for d in (HodgeDiamond(rows),) * 3 + (HodgeDiamond(rows),):
                 with pytest.raises(ValidationError) as info:
                     call(d)
+                assert info.value.report == d.validate(level), name
                 errors.append((type(info.value), str(info.value)))
             assert errors == [errors[0]] * 4, name
     # Nothing was kept, so every call that gets past validation starts the
     # work again: "polynomial" and "value" run the primitive route on both
-    # tables, and on the negative table they and "primitive" build the table.
-    assert calls == {"primitives": 2 * 2 * 4, "rewrite": 0, "table": 3 * 4}
+    # tables, whose validation fails before any PrimitiveTable is built.
+    assert calls == {"primitives": 2 * 2 * 4, "rewrite": 0, "table": 0}
 
 
 def test_disagreeing_routes_store_nothing(monkeypatch):

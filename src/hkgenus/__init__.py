@@ -30,14 +30,7 @@ may compute it twice, and every caller still gets an equal value.
 
 import importlib
 
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    InternalInconsistencyError,
-    NegativePrimitiveError,
-    UnknownManifoldError,
-    ValidationError,
-)
+from .errors import InputError, InternalInconsistencyError, ValidationError
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 from .hodge import (
     ClassicalValues,
@@ -100,19 +93,16 @@ def __getattr__(name: str):
 __all__ = [
     "ChernData",
     "ClassicalValues",
-    "DimensionMismatchError",
     "HodgeDiamond",
     "InputError",
     "InternalInconsistencyError",
     "LaurentPolynomial",
     "ManifoldRecord",
-    "NegativePrimitiveError",
     "PrimitiveTable",
     "RozanskyWittenResult",
     "SL2Element",
     "IdentityReport",
     "TruncatedSeries",
-    "UnknownManifoldError",
     "ValidationError",
     "ValidationLevel",
     "ValidationReport",

@@ -1,12 +1,13 @@
 """The input boundary: values that come from outside, and the rules for them.
 
-``is_int`` says what counts as an integer, ``expect`` that a library argument
-has the type its call needs, ``quote`` how a caller's value enters an error
-message (an int past ``3 * SHORT`` bits by its size, a string by the ``repr``
-of its first ``SHORT`` characters and its length, anything else by its
-``repr``, cut to ``SHORT`` characters and "..." when longer and built only
-that far into a list, tuple or dict), ``json_text`` what canonical JSON is:
-``write_json`` writes it to a file and the CLI prints it.
+``is_int`` says what counts as an integer, ``int_rows`` and ``check_int_row``
+what a table of integer rows is, ``expect`` that a library argument has the
+type its call needs, ``quote`` how a caller's value enters an error message
+(an int past ``3 * SHORT`` bits by its size, a string by the ``repr`` of its
+first ``SHORT`` characters and its length, anything else by its ``repr``, cut
+to ``SHORT`` characters and "..." when longer and built only that far into a
+list, tuple, dict, NamedTuple or ``Frozen`` value), ``json_text`` what
+canonical JSON is: ``write_json`` writes it to a file and the CLI prints it.
 The limits on what comes in:
 
 * a file is named by a str or os.PathLike path, never by a descriptor;
@@ -102,9 +103,17 @@ def quote(value) -> str:
 
 def _repr_pieces(value, open_ids: set):
     """``repr(value)`` piece by piece, so that the reader can stop early: a list,
-    tuple or dict a bracket, separator or item at a time, a str in one by the
-    repr of its first ``SHORT`` characters."""
+    tuple or dict a bracket, separator or item at a time, a ``Frozen`` value with
+    ``Frozen.__repr__`` or a NamedTuple its name and then a field at a time, a str
+    in one by the repr of its first ``SHORT`` characters."""
     kind = type(value)
+    if kind.__repr__ is Frozen.__repr__ or (isinstance(value, tuple) and hasattr(kind, "_fields")):
+        yield (kind.__qualname__ if isinstance(value, Frozen) else kind.__name__) + "("
+        for i, name in enumerate(kind._fields):
+            yield f"{', ' if i else ''}{name}="
+            yield from _repr_pieces(getattr(value, name), open_ids)
+        yield ")"
+        return
     if kind not in (list, tuple, dict):
         yield repr(value[:SHORT] if kind is str else value)
         return
@@ -123,6 +132,24 @@ def _repr_pieces(value, open_ids: set):
         yield from _repr_pieces(item, open_ids)
     open_ids.discard(id(value))
     yield ",)" if kind is tuple and len(value) == 1 else right
+
+
+def int_rows(rows) -> tuple[tuple, ...]:
+    """``rows`` as a tuple of tuples, or an InputError if it is not a sequence of sequences."""
+    try:
+        return tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise InputError(f"expected a sequence of rows, got {quote(rows)}") from None
+
+
+def check_int_row(p: int, row: tuple, width: int) -> None:
+    """An InputError unless row ``p`` of a table holds exactly ``width`` exact ints."""
+    if len(row) != width:
+        raise InputError(f"row {p} has length {len(row)}, expected {width}")
+    if set(map(type, row)) != {int}:  # exact ints need no closer look
+        for q, value in enumerate(row):
+            if not is_int(value):
+                raise InputError(f"entry ({p}, {q}) is not an integer: {quote(value)}")
 
 
 def expect(value, kind: type):

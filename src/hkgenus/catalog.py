@@ -34,7 +34,7 @@ import functools
 from typing import Iterator, NamedTuple
 
 from .boundary import expect, is_int, quote, read_json, write_json
-from .errors import InputError, InternalInconsistencyError, UnknownManifoldError
+from .errors import InputError, InternalInconsistencyError
 from .hodge import HodgeDiamond, ValidationLevel
 from .riemann_roch import ChernData
 
@@ -222,7 +222,7 @@ def builtin(name: str) -> ManifoldRecord:
     records = _catalog()
     if not isinstance(name, str) or name not in records:
         known = ", ".join(records)
-        raise UnknownManifoldError(f"unknown built-in {quote(name)}; known: {known}")
+        raise InputError(f"unknown built-in {quote(name)}; known: {known}")
     return records[name]
 
 

@@ -28,8 +28,8 @@ import operator
 from itertools import islice
 from typing import NamedTuple
 
-from .boundary import Frozen, is_int, quote
-from .errors import DimensionMismatchError, InputError, ValidationError
+from .boundary import Frozen, check_int_row, int_rows, quote
+from .errors import InputError, ValidationError
 from .laurent import LaurentPolynomial
 
 MAX_LISTED = 20  # violations a failure message lists; it counts the rest
@@ -99,30 +99,16 @@ class HodgeDiamond(Frozen):
     def __init__(self, rows: tuple[tuple[int, ...], ...], name: str | None = None):
         if name is not None and not isinstance(name, str):
             raise InputError(f"diamond name must be a string or None, got {quote(name)}")
-        try:
-            rows = tuple(tuple(r) for r in rows)
-        except TypeError:
-            raise DimensionMismatchError(f"expected a sequence of rows, got {quote(rows)}") from None
+        rows = int_rows(rows)
         vars(self).update(rows=rows, name=name)
         side = len(rows)
         if side < 3 or side % 2 == 0:
-            raise DimensionMismatchError(
-                f"table side must be odd and at least 3 (real dimension 4n, n >= 1); got {side}"
-            )
+            raise InputError(
+                f"table side must be odd and at least 3 (real dimension 4n, n >= 1); got {side}")
         n = side // 2
         for p, row in enumerate(rows):
-            if p > n and row is rows[2 * n - p]:
-                continue  # the same object as row 2n-p, which passed these checks
-            if len(row) != side:
-                raise DimensionMismatchError(
-                    f"row {p} has length {len(row)}, expected {side}"
-                )
-            if set(map(type, row)) == {int}:
-                continue  # exact ints need no closer look
-            for q, value in enumerate(row):
-                if not is_int(value):
-                    raise DimensionMismatchError(
-                        f"entry ({p}, {q}) is not an integer: {quote(value)}")
+            if p <= n or row is not rows[2 * n - p]:  # else row 2n-p passed these checks
+                check_int_row(p, row, side)
 
     def _key(self) -> tuple:
         return (self.rows,)  # the name takes no part in == or hash
@@ -225,7 +211,7 @@ class HodgeDiamond(Frozen):
     def require_valid(self, level: ValidationLevel = ValidationLevel.STRUCTURAL):
         report = self.validate(level)
         if not report.ok:
-            raise ValidationError(report.summary(), report=report)
+            raise ValidationError(report)
 
     # -- genus ---------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from .boundary import Frozen, is_int, quote
+from .boundary import Frozen, expect, is_int, quote
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -202,7 +202,7 @@ def substitute_y_plus_yinv(p: LaurentPolynomial) -> LaurentPolynomial:
     identity by construction, and the exact check would become a tautology.
     The binomial sum expands t^k, not a character, so the check stays real.
     """
-    if p.valuation() is not None and p.valuation() < 0:
+    if expect(p, LaurentPolynomial).valuation() is not None and p.valuation() < 0:
         raise ValueError("substitution requires a polynomial with nonnegative exponents")
     if not p:
         return LaurentPolynomial()

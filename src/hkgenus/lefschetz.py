@@ -45,8 +45,8 @@ import functools
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .boundary import Frozen, expect, is_int, quote
-from .errors import InputError, InternalInconsistencyError, NegativePrimitiveError
+from .boundary import Frozen, check_int_row, expect, int_rows, is_int, quote
+from .errors import InputError, InternalInconsistencyError
 from .hodge import HodgeDiamond, ValidationLevel
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 from .sl2 import SL2Element, character
@@ -71,10 +71,7 @@ class PrimitiveTable(Frozen):
     _fields = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
-        try:
-            rows = tuple(tuple(r) for r in rows)
-        except TypeError:
-            raise InputError(f"expected a sequence of rows, got {quote(rows)}") from None
+        rows = int_rows(rows)
         vars(self).update(n=n, rows=rows)
         if not is_int(n):
             raise InputError(f"n must be an integer, got {quote(n)}")
@@ -83,16 +80,11 @@ class PrimitiveTable(Frozen):
         if len(rows) != n + 1:
             raise InputError(f"expected {quote(n + 1)} rows, got {len(rows)}")
         for p, row in enumerate(rows):
-            if len(row) != 2 * n + 1:
+            check_int_row(p, row, 2 * n + 1)
+            if min(row) < 0:
+                q = next(q for q, value in enumerate(row) if value < 0)
                 raise InputError(
-                    f"row {p} has length {len(row)}, expected {2 * n + 1}")
-            if set(map(type, row)) == {int} and min(row) >= 0:
-                continue  # exact nonnegative ints need no closer look
-            for q, value in enumerate(row):
-                if not is_int(value):
-                    raise InputError(f"entry ({p}, {q}) is not an integer: {quote(value)}")
-                if value < 0:
-                    raise NegativePrimitiveError(p, q, value)
+                    f"negative primitive multiplicity {quote(row[q])} at (p, q) = ({p}, {q})")
 
     def representation_dimension(self, p: int) -> int:
         """Dimension of the irreducible generated at row p."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .boundary import Frozen, is_int, parse_int, quote
+from .boundary import Frozen, expect, is_int, parse_int, quote
 from .errors import InputError
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
 
@@ -70,6 +70,8 @@ class SL2Element(Frozen):
         return self.a + self.d
 
     def __matmul__(self, other: "SL2Element") -> "SL2Element":
+        if not isinstance(other, SL2Element):
+            return NotImplemented
         return SL2Element(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -91,7 +93,7 @@ def eigenvalue_polynomial(u: SL2Element) -> LaurentPolynomial:
     Both eigenvalues are roots; their product is the determinant, 1, which is
     why the constant term is always 1.
     """
-    return LaurentPolynomial({2: 1, 1: -u.trace, 0: 1})
+    return LaurentPolynomial({2: 1, 1: -expect(u, SL2Element).trace, 0: 1})
 
 
 _ZERO = LaurentPolynomial()  # t_r for every r <= 0; values are immutable, so one is shared

@@ -8,15 +8,18 @@ else by its repr, cut after ``SHORT`` characters.
 
 import ast
 import os
+import pickle
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from hkgenus import boundary, hodge
+import hkgenus
+from hkgenus import boundary, errors, hodge
 from hkgenus.catalog import builtin, goettsche_expand, load_manifold, save_manifold
 from hkgenus.errors import InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond
+from hkgenus.laurent import substitute_y_plus_yinv
 from hkgenus.lefschetz import (
     PrimitiveTable,
     primitive_multiplicities,
@@ -29,7 +32,7 @@ from hkgenus.lefschetz import (
     verify_supertrace_identity,
 )
 from hkgenus.riemann_roch import ChernData, chi_minus_y_from_chern
-from hkgenus.sl2 import SL2Element
+from hkgenus.sl2 import SL2Element, eigenvalue_polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hkgenus"
 K3 = builtin("K3").diamond
@@ -87,6 +90,8 @@ HOSTILE_CALLS = {
     "goettsche-of-a-record": lambda: goettsche_expand(builtin("K3"), 2),
     "save-a-diamond": lambda: save_manifold(K3, os.devnull),
     "chern-values-as-a-dict": lambda: chi_minus_y_from_chern(1, {"c2": 24}),
+    "substitute-into-an-int": lambda: substitute_y_plus_yinv(5),
+    "eigenvalues-of-an-int": lambda: eigenvalue_polynomial(5),
 }
 
 
@@ -103,6 +108,8 @@ def test_hostile_value_ends_in_a_short_input_error(kind):
     ("goettsche-of-a-record",
      "expected a HodgeDiamond, got ManifoldRecord(name='K3', diamond=HodgeDiamond(rows=((1, 0, ..."),
     ("chern-values-as-a-dict", "expected a ChernData, got {'c2': 24}"),
+    ("substitute-into-an-int", "expected a LaurentPolynomial, got 5"),
+    ("eigenvalues-of-an-int", "expected a SL2Element, got 5"),
     ("reconstruct-from-a-diamond",
      "expected a PrimitiveTable, got HodgeDiamond(rows=((1, 0, 1, 0, 1), (0, 21, 0, 21, 0), (1, 0..."),
 ])
@@ -163,6 +170,68 @@ def test_quoting_a_container_costs_only_what_is_shown():
         tracemalloc.stop()
     assert text == "['" + "x" * (boundary.SHORT - 2) + "..."
     assert peak < 2**20
+
+
+def _records():
+    """One value of each ``Frozen`` and NamedTuple class the package returns, and two holders."""
+    k3_2 = builtin("K3[2]")
+    u = SL2Element(2, 1, 1, 1)
+    failing = HodgeDiamond(((1, 0, 1), (0, -2, 0), (1, 0, 2))).validate()
+    return [
+        k3_2, k3_2.diamond, K3, k3_2.chern, u, SL2Element.identity(),
+        primitive_multiplicities(k3_2.diamond), K3.validate(), failing, failing.violations[0],
+        K3.classical_values(), rozansky_witten_invariant(K3, u), [u, (K3,)], {"record": k3_2},
+    ]
+
+
+@pytest.mark.parametrize("value", _records(), ids=lambda value: type(value).__name__)
+def test_a_record_is_quoted_by_the_head_of_its_repr(value):
+    text = repr(value)
+    shown = text if len(text) <= boundary.SHORT else text[:boundary.SHORT] + "..."
+    assert boundary.quote(value) == shown
+
+
+def test_quoting_a_record_costs_only_what_is_shown():
+    row = (10**30,) * 601
+    diamond = HodgeDiamond((row,) * 601)  # one shared row: small to hold, about 12 MB to repr
+    head = "HodgeDiamond(rows=((" + ", ".join(["1" + "0" * 30] * 2)
+    for value, shown in ((diamond, head[:boundary.SHORT] + "..."),
+                         (builtin("K3")._replace(diamond=diamond),
+                          ("ManifoldRecord(name='K3', diamond=" + head)[:boundary.SHORT] + "...")):
+        tracemalloc.start()
+        try:
+            text = boundary.quote(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == shown
+        assert peak < 2**20
+    with pytest.raises(InputError) as info:
+        reconstruct_diamond(diamond)
+    assert str(info.value) == f"expected a PrimitiveTable, got {head[:boundary.SHORT]}..."
+
+
+def test_the_package_raises_three_exception_classes():
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert classes == {"InputError", "ValidationError", "InternalInconsistencyError"}
+    assert {name for name in hkgenus.__all__ if name.endswith("Error")} == classes
+    tree = ast.parse((SRC / "errors.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    report = HodgeDiamond(((1, 0, 1), (0, -2, 0), (1, 0, 2))).validate()
+    error = ValidationError(report)
+    assert isinstance(error, InputError) and error.report is report
+    assert str(error) == report.summary()
+    copy = pickle.loads(pickle.dumps(error))
+    assert (type(copy), str(copy), copy.report) == (ValidationError, str(error), report)
+
+
+def test_the_integer_row_rule_is_worded_once():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    for wording in ("expected a sequence of rows, got", "has length {len(row)}, expected",
+                    "is not an integer: {quote(value)}"):
+        assert [name for name, text in texts.items() if wording in text] == ["boundary.py"]
+        assert texts["boundary.py"].count(wording) == 1
 
 
 def test_a_long_chern_key_is_quoted_by_its_own_length():

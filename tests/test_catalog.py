@@ -18,13 +18,7 @@ from hkgenus.catalog import (
     record_to_json_dict,
     save_manifold,
 )
-from hkgenus.errors import (
-    DimensionMismatchError,
-    InputError,
-    InternalInconsistencyError,
-    UnknownManifoldError,
-    ValidationError,
-)
+from hkgenus.errors import InputError, InternalInconsistencyError, ValidationError
 from hkgenus.hodge import HodgeDiamond, ValidationLevel
 from hkgenus.lefschetz import supertrace_polynomial, verify_supertrace_identity
 from hkgenus.riemann_roch import ChernData
@@ -52,12 +46,12 @@ def test_k3_2_expected_entries():
 
 
 def test_unknown_names_rejected():
-    with pytest.raises(UnknownManifoldError):
-        builtin("K3[1]")  # alias of K3 is deliberately not registered
-    with pytest.raises(UnknownManifoldError):
-        builtin("Kum2")
-    with pytest.raises(UnknownManifoldError):
-        builtin(["K3"])  # not a str, so not a name
+    # "K3[1]" is an alias of K3, deliberately not registered; ["K3"] is not a str, so not a name.
+    for name, shown in (("K3[1]", "'K3[1]'"), ("Kum2", "'Kum2'"), (["K3"], "['K3']")):
+        with pytest.raises(InputError) as info:
+            builtin(name)
+        assert type(info.value) is InputError
+        assert str(info.value) == f"unknown built-in {shown}; known: K3, K3[2], K3[3], K3[4], K3[5]"
 
 
 def test_first_coefficient_reproduces_the_surface():
@@ -415,8 +409,11 @@ def test_load_rejects_even_side_table(tmp_path):
     path = tmp_path / "even.hodge.json"
     path.write_text(
         '{"name": "even", "n": 1, "hodge": [[1, 0], [0, 1]]}', encoding="utf-8")
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError) as info:
         load_manifold(path)
+    assert type(info.value) is InputError
+    assert str(info.value) == (
+        "table side must be odd and at least 3 (real dimension 4n, n >= 1); got 2")
 
 
 def test_load_rejects_n_mismatch(tmp_path):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hkgenus.catalog import builtin, load_manifold
-from hkgenus.errors import DimensionMismatchError, InputError, ValidationError
+from hkgenus.errors import InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond, ValidationLevel, Violation
 from hkgenus.laurent import LaurentPolynomial
 
@@ -111,14 +111,18 @@ def test_normalized_genus_palindromic_and_euler_at_one():
 
 
 def test_dimension_errors_are_hard_errors():
-    with pytest.raises(DimensionMismatchError):
-        HodgeDiamond(((1, 0), (0, 1)))  # even side
-    with pytest.raises(DimensionMismatchError):
-        HodgeDiamond(((1,),))  # n = 0 is rejected
-    with pytest.raises(DimensionMismatchError):
-        HodgeDiamond(((1, 0, 1), (0, 20), (1, 0, 1)))  # ragged row
-    with pytest.raises(DimensionMismatchError):
-        HodgeDiamond(((1, 0, 1), (0, 20.0, 0), (1, 0, 1)))  # float entry
+    side = "table side must be odd and at least 3 (real dimension 4n, n >= 1); got {}"
+    cases = [
+        (((1, 0), (0, 1)), side.format(2)),  # even side
+        (((1,),), side.format(1)),  # n = 0 is rejected
+        (((1, 0, 1), (0, 20), (1, 0, 1)), "row 1 has length 2, expected 3"),  # ragged row
+        (((1, 0, 1), (0, 20.0, 0), (1, 0, 1)), "entry (1, 1) is not an integer: 20.0"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(InputError) as info:
+            HodgeDiamond(rows)
+        assert type(info.value) is InputError
+        assert str(info.value) == message
 
 
 def test_entry_type_errors_name_the_first_bad_entry():
@@ -140,8 +144,9 @@ def test_entry_type_errors_name_the_first_bad_entry():
         (((1, 0, 1, 0, 1), (0,) * 5, (1, 0, 1, 0, 1), row, row), "entry (3, 2) is not an integer: 0.5"),
     ]
     for rows, message in cases:
-        with pytest.raises(DimensionMismatchError) as info:
+        with pytest.raises(InputError) as info:
             HodgeDiamond(rows)
+        assert type(info.value) is InputError
         assert str(info.value) == message
 
 
@@ -272,8 +277,9 @@ def test_a_shared_bad_row_is_reported_at_its_first_position(bad_row, message):
     shared = (good, bad_row, good, bad_row, good)
     copies = [list(good), list(bad_row), list(good), list(bad_row), list(good)]
     for rows in (shared, copies):
-        with pytest.raises(DimensionMismatchError) as info:
+        with pytest.raises(InputError) as info:
             HodgeDiamond(rows)
+        assert type(info.value) is InputError
         assert str(info.value) == message
 
 

@@ -46,6 +46,15 @@ def test_group_operations():
     assert u.conjugate_by(v).trace == u.trace
 
 
+def test_a_product_with_a_non_element_is_a_type_error():
+    u = SL2Element(2, 1, 1, 1)
+    for other in (5, (1, 0, 0, 1), "1,0;0,1"):
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            u @ other
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            other @ u
+
+
 def test_character_base_cases_and_convention():
     assert character(1) == LaurentPolynomial.one()
     assert character(2) == LaurentPolynomial({1: 1})

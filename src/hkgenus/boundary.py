@@ -1,13 +1,13 @@
 """The input boundary: values that come from outside, and the rules for them.
 
-``is_int`` says what counts as an integer, ``int_rows`` and ``check_int_row``
-what a table of integer rows is, ``expect`` that a library argument has the
-type its call needs, ``quote`` how a caller's value enters an error message
-(an int past ``3 * SHORT`` bits by its size, a string by the ``repr`` of its
-first ``SHORT`` characters and its length, anything else by its ``repr``, cut
-to ``SHORT`` characters and "..." when longer and built only that far into a
-list, tuple, dict, NamedTuple or ``Frozen`` value), ``json_text`` what
-canonical JSON is: ``write_json`` writes it to a file and the CLI prints it.
+``is_int`` says what counts as an integer, ``int_rows``, ``is_int_table`` and
+``check_int_row`` what a table of integer rows is, ``expect`` and ``expect_int``
+that a library argument has the type its call needs, ``quote`` how a caller's
+value enters an error message (an int past ``3 * SHORT`` bits by its size, a
+string by the ``repr`` of its first ``SHORT`` characters and its length, else
+its ``repr``, cut to ``SHORT`` characters and "..." when longer and built only
+that far into a list, tuple, dict, NamedTuple or ``Frozen`` value), ``json_text``
+what canonical JSON is: ``write_json`` writes it to a file and the CLI prints it.
 The limits on what comes in:
 
 * a file is named by a str or os.PathLike path, never by a descriptor;
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import chain
 
 from .errors import InputError
 
@@ -137,9 +138,15 @@ def _repr_pieces(value, open_ids: set):
 def int_rows(rows) -> tuple[tuple, ...]:
     """``rows`` as a tuple of tuples, or an InputError if it is not a sequence of sequences."""
     try:
-        return tuple(tuple(row) for row in rows)
+        return tuple(map(tuple, rows))
     except TypeError:
         raise InputError(f"expected a sequence of rows, got {quote(rows)}") from None
+
+
+def is_int_table(rows, width: int) -> bool:
+    """Whether every row has length ``width`` and holds only values of type ``int``."""
+    return ({width}.issuperset(map(len, rows))
+            and {int}.issuperset(map(type, chain.from_iterable(rows))))
 
 
 def check_int_row(p: int, row: tuple, width: int) -> None:
@@ -156,6 +163,13 @@ def expect(value, kind: type):
     """``value`` if it is an instance of ``kind``, else an InputError that quotes it."""
     if not isinstance(value, kind):
         raise InputError(f"expected a {kind.__name__}, got {quote(value)}")
+    return value
+
+
+def expect_int(value, error: type[Exception] = InputError) -> int:
+    """``value`` if ``is_int(value)``, else an ``error`` (an InputError) that quotes it."""
+    if not is_int(value):
+        raise error(f"expected an integer, got {quote(value)}")
     return value
 
 

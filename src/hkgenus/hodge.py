@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
-from .boundary import Frozen, check_int_row, int_rows, quote
+from .boundary import Frozen, check_int_row, int_rows, is_int_table, quote
 from .errors import InputError, ValidationError
 from .laurent import LaurentPolynomial
 
@@ -105,9 +105,10 @@ class HodgeDiamond(Frozen):
         if side < 3 or side % 2 == 0:
             raise InputError(
                 f"table side must be odd and at least 3 (real dimension 4n, n >= 1); got {side}")
-        n = side // 2
-        for p, row in enumerate(rows):
-            if p <= n or row is not rows[2 * n - p]:  # else row 2n-p passed these checks
+        n = side // 2  # a row p > n that is the same object as row 2n-p is checked as that row
+        checked = {p: row for p, row in enumerate(rows) if p <= n or row is not rows[2 * n - p]}
+        if not is_int_table(checked.values(), side):
+            for p, row in checked.items():
                 check_int_row(p, row, side)
 
     def _key(self) -> tuple:
@@ -150,7 +151,7 @@ class HodgeDiamond(Frozen):
         # column symmetry (row p > n is row 2n-p), conjugation and nonnegativity of
         # rows p <= n imply both on every row, and with them Serre duality.
         if (rows[:n] == rows[:n:-1] and rows[:n + 1] == tuple(islice(zip(*rows), n + 1))
-                and min(map(min, rows[:n + 1])) >= 0):
+                and min(chain.from_iterable(rows[:n + 1])) >= 0):
             return ()
         found = [Violation("negative_entry", p, q, f"h^{{{p},{q}}} = {quote(h)} is negative")
                  for p, row in enumerate(rows) for q, h in enumerate(row) if h < 0]
@@ -182,7 +183,7 @@ class HodgeDiamond(Frozen):
 
     def _find_negative_primitives(self) -> tuple[Violation, ...]:
         rows = self.primitive_rows
-        return () if min(map(min, rows)) >= 0 else tuple(
+        return () if min(chain.from_iterable(rows)) >= 0 else tuple(
             Violation("negative_primitive", p, q,
                       f"h^{{{p},{q}}} - h^{{{p-2},{q}}} = {quote(value)} is negative")
             for p, row in enumerate(rows) for q, value in enumerate(row) if value < 0)
@@ -246,6 +247,6 @@ class HodgeDiamond(Frozen):
         symmetry h^{p,q} = h^{2n-p,q} read through the genus.  Built directly
         from the row sums of :meth:`chi_y`, which read rows p <= n only.
         """
-        n = self.n
-        return LaurentPolynomial({p - n: -c if p % 2 else c
-                                  for p, c in enumerate(self._genus_coefficients())})
+        n, coefficients = self.n, self._genus_coefficients()
+        coefficients[1::2] = [-c for c in coefficients[1::2]]
+        return LaurentPolynomial(dict(zip(range(-n, n + 1), coefficients)))

@@ -17,20 +17,16 @@ polynomials pass ``t`` to ``to_string``).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from .boundary import Frozen, expect, is_int, quote
+from .boundary import Frozen, expect, expect_int, is_int
+from .errors import InputError
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 Coefficients = Mapping[int, int]
-
-
-def _check_int(value) -> int:
-    if not is_int(value):
-        raise TypeError(f"expected an integer, got {quote(value)}")
-    return value
 
 
 class LaurentPolynomial(Frozen):
@@ -50,9 +46,9 @@ class LaurentPolynomial(Frozen):
         # full per-term check, which raises at the first bad term in order.
         if not {*map(type, terms), *map(type, terms.values())} <= {int}:
             for exponent, coefficient in terms.items():
-                _check_int(exponent)
-                _check_int(coefficient)
-        vars(self)["_items"] = tuple(sorted([(e, c) for e, c in terms.items() if c]))
+                expect_int(exponent, TypeError)
+                expect_int(coefficient, TypeError)
+        vars(self)["_items"] = tuple(sorted(filter(itemgetter(1), terms.items())))
 
     def _key(self) -> tuple:
         return self._items
@@ -66,7 +62,7 @@ class LaurentPolynomial(Frozen):
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, exponent: int) -> int:
-        return dict(self._items).get(exponent, 0)
+        return dict(self._items).get(expect_int(exponent), 0)
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs in ascending exponent order."""
@@ -113,7 +109,7 @@ class LaurentPolynomial(Frozen):
 
     def __mul__(self, other) -> "LaurentPolynomial":
         """Scale by an exact integer; the one product the package forms."""
-        if not is_int(other):
+        if type(other) is not int and not is_int(other):
             return NotImplemented
         return LaurentPolynomial({e: c * other for e, c in self._items})
 
@@ -127,7 +123,7 @@ class LaurentPolynomial(Frozen):
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by v^k."""
-        _check_int(k)
+        expect_int(k)
         return LaurentPolynomial({e + k: c for e, c in self._items})
 
     def evaluate(self, value: int) -> Union[int, Fraction]:
@@ -137,7 +133,7 @@ class LaurentPolynomial(Frozen):
         once into an exact Fraction.  The result collapses to an int whenever it
         is integral (always the case at value = +-1).
         """
-        _check_int(value)
+        expect_int(value)
         items = self._items
         if not items:
             return 0
@@ -203,7 +199,7 @@ def substitute_y_plus_yinv(p: LaurentPolynomial) -> LaurentPolynomial:
     The binomial sum expands t^k, not a character, so the check stays real.
     """
     if expect(p, LaurentPolynomial).valuation() is not None and p.valuation() < 0:
-        raise ValueError("substitution requires a polynomial with nonnegative exponents")
+        raise InputError("substitution requires a polynomial with nonnegative exponents")
     if not p:
         return LaurentPolynomial()
     deg = p.degree()

@@ -45,7 +45,8 @@ import functools
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .boundary import Frozen, check_int_row, expect, int_rows, is_int, quote
+from .boundary import (Frozen, check_int_row, expect, expect_int, int_rows, is_int, is_int_table,
+                       quote)
 from .errors import InputError, InternalInconsistencyError
 from .hodge import HodgeDiamond, ValidationLevel
 from .laurent import LaurentPolynomial, substitute_y_plus_yinv
@@ -53,12 +54,6 @@ from .sl2 import SL2Element, character
 
 if TYPE_CHECKING:
     from .report import IdentityReport
-
-
-def _accumulate(total: list[int], poly: LaurentPolynomial, weight: int) -> None:
-    """Add ``weight * poly`` into ``total``, the coefficient list indexed by exponent."""
-    for e, c in poly.terms():
-        total[e] += weight * c
 
 
 class PrimitiveTable(Frozen):
@@ -73,22 +68,23 @@ class PrimitiveTable(Frozen):
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
         rows = int_rows(rows)
         vars(self).update(n=n, rows=rows)
-        if not is_int(n):
+        if type(n) is not int and not is_int(n):
             raise InputError(f"n must be an integer, got {quote(n)}")
         if n < 1:
             raise InputError(f"n must be positive, got {quote(n)}")
         if len(rows) != n + 1:
             raise InputError(f"expected {quote(n + 1)} rows, got {len(rows)}")
-        for p, row in enumerate(rows):
-            check_int_row(p, row, 2 * n + 1)
-            if min(row) < 0:
-                q = next(q for q, value in enumerate(row) if value < 0)
-                raise InputError(
-                    f"negative primitive multiplicity {quote(row[q])} at (p, q) = ({p}, {q})")
+        if not is_int_table(rows, 2 * n + 1) or min(map(min, rows)) < 0:
+            for p, row in enumerate(rows):  # word the first failure, in row order
+                check_int_row(p, row, 2 * n + 1)
+                if min(row) < 0:
+                    q = next(q for q, value in enumerate(row) if value < 0)
+                    raise InputError(
+                        f"negative primitive multiplicity {quote(row[q])} at (p, q) = ({p}, {q})")
 
     def representation_dimension(self, p: int) -> int:
         """Dimension of the irreducible generated at row p."""
-        return self.n - p + 1
+        return self.n - expect_int(p) + 1
 
 
 def primitive_multiplicities(d: HodgeDiamond) -> PrimitiveTable:
@@ -125,7 +121,7 @@ def supertrace_via_primitives(d: HodgeDiamond) -> LaurentPolynomial:
     n = pt.n
     total = [0] * (n + 1)  # t_r, r <= n + 1, has exponents 0..n
     for p, row in enumerate(pt.rows):
-        weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
+        weight = sum(row[p % 2::2]) - sum(row[1 - p % 2::2])  # (-1)^p sum_q (-1)^q prim(p, q)
         for e, c in (character(n - p + 1) * weight).terms():
             total[e] += c
     return LaurentPolynomial(dict(enumerate(total)))
@@ -148,9 +144,11 @@ def supertrace_via_rewrite(d: HodgeDiamond) -> LaurentPolynomial:
     total = [0] * (n + 1)
     for p in range(n + 1):
         row = d.rows[p]
-        weight = (-1) ** p * (sum(row[0::2]) - sum(row[1::2]))
-        _accumulate(total, character(n - p + 1), weight)
-        _accumulate(total, character(n - p - 1), -weight)
+        weight = sum(row[p % 2::2]) - sum(row[1 - p % 2::2])  # (-1)^p sum_q (-1)^q h^{p,q}
+        for e, c in character(n - p + 1).terms():
+            total[e] += weight * c
+        for e, c in character(n - p - 1).terms():
+            total[e] -= weight * c
     return LaurentPolynomial(dict(enumerate(total)))
 
 

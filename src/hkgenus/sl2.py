@@ -84,7 +84,7 @@ class SL2Element(Frozen):
 
     def conjugate_by(self, g: "SL2Element") -> "SL2Element":
         """Return g @ self @ g^-1."""
-        return g @ self @ g.inverse()
+        return expect(g, SL2Element) @ self @ g.inverse()
 
 
 def eigenvalue_polynomial(u: SL2Element) -> LaurentPolynomial:
@@ -104,7 +104,7 @@ def character(r: int) -> LaurentPolynomial:
 
     t_r = 0 for r <= 0; for r >= 1 the degree of t_r is r - 1.
     """
-    if not is_int(r):
+    if type(r) is not int and not is_int(r):
         raise InputError(f"representation dimension must be an integer, got {quote(r)}")
     if r <= 0:
         return _ZERO

@@ -19,7 +19,7 @@ from hkgenus import boundary, errors, hodge
 from hkgenus.catalog import builtin, goettsche_expand, load_manifold, save_manifold
 from hkgenus.errors import InputError, ValidationError
 from hkgenus.hodge import HodgeDiamond
-from hkgenus.laurent import substitute_y_plus_yinv
+from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
 from hkgenus.lefschetz import (
     PrimitiveTable,
     primitive_multiplicities,
@@ -92,6 +92,13 @@ HOSTILE_CALLS = {
     "chern-values-as-a-dict": lambda: chi_minus_y_from_chern(1, {"c2": 24}),
     "substitute-into-an-int": lambda: substitute_y_plus_yinv(5),
     "eigenvalues-of-an-int": lambda: eigenvalue_polynomial(5),
+    "substitute-a-negative-exponent": lambda: substitute_y_plus_yinv(LaurentPolynomial({-1: 1})),
+    "evaluate-at-a-string": lambda: LaurentPolynomial({1: 1}).evaluate("x"),
+    "shift-by-a-string": lambda: LaurentPolynomial({1: 1}).shifted("x"),
+    "coefficient-at-a-string": lambda: LaurentPolynomial({1: 1}).coefficient("x"),
+    "dimension-at-a-string":
+        lambda: primitive_multiplicities(K3).representation_dimension("x"),
+    "conjugate-by-an-int": lambda: SL2Element(2, 1, 1, 1).conjugate_by(5),
 }
 
 
@@ -110,6 +117,11 @@ def test_hostile_value_ends_in_a_short_input_error(kind):
     ("chern-values-as-a-dict", "expected a ChernData, got {'c2': 24}"),
     ("substitute-into-an-int", "expected a LaurentPolynomial, got 5"),
     ("eigenvalues-of-an-int", "expected a SL2Element, got 5"),
+    ("evaluate-at-a-string", "expected an integer, got 'x'"),
+    ("shift-by-a-string", "expected an integer, got 'x'"),
+    ("coefficient-at-a-string", "expected an integer, got 'x'"),
+    ("dimension-at-a-string", "expected an integer, got 'x'"),
+    ("conjugate-by-an-int", "expected a SL2Element, got 5"),
     ("reconstruct-from-a-diamond",
      "expected a PrimitiveTable, got HodgeDiamond(rows=((1, 0, 1, 0, 1), (0, 21, 0, 21, 0), (1, 0..."),
 ])
@@ -117,6 +129,21 @@ def test_a_value_of_the_wrong_type_is_named_and_quoted(kind, message):
     with pytest.raises(InputError) as info:
         HOSTILE_CALLS[kind]()
     assert str(info.value) == message
+
+
+def test_a_file_of_exactly_the_input_limit_is_read(tmp_path):
+    path = tmp_path / "limit.json"
+    path.write_text("[1]" + " " * (boundary.MAX_INPUT_CHARS - 3))
+    assert boundary.read_json(path) == [1]
+    path.write_text("[1]" + " " * (boundary.MAX_INPUT_CHARS - 2))
+    with pytest.raises(InputError) as info:
+        boundary.read_json(path)
+    assert str(info.value) == f"{boundary.shorten(str(path))}: more than 16777216 characters"
+
+
+def test_shorten_keeps_a_text_of_exactly_the_limit():
+    assert boundary.shorten("a" * boundary.SHORT) == "a" * 60
+    assert boundary.shorten("a" * (boundary.SHORT + 1)) == "a" * 60 + "... (61 characters)"
 
 
 def test_is_int_takes_exact_ints_only():

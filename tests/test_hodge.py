@@ -267,6 +267,39 @@ def test_shared_row_objects_make_the_same_table_as_copies():
         assert table.validate() == copied.validate()
 
 
+@pytest.mark.parametrize("bad, shown", [(1.0, "1.0"), (True, "True"), ("x", "'x'"), (None, "None")])
+@pytest.mark.parametrize("p", [0, 2, 4])  # the first row, the middle row, an unshared row p > n
+def test_one_bad_cell_is_named_in_any_row(p, bad, shown):
+    # The whole-table type pass only says that some cell is bad; the message
+    # still names the first bad cell in row order, as the per-row rule words it.
+    rows = [list(row) for row in builtin("K3[2]").diamond.rows]
+    rows[p][1] = bad
+    with pytest.raises(InputError) as info:
+        HodgeDiamond(rows)
+    assert str(info.value) == f"entry ({p}, 1) is not an integer: {shown}"
+
+
+def test_the_first_failing_row_is_named_whatever_the_failure():
+    class Count(int):
+        pass
+
+    good = [list(row) for row in builtin("K3[2]").diamond.rows]
+    rows = [list(row) for row in good]
+    rows[1][2], rows[3] = 2.5, rows[3][:4]  # a bad cell, then a short row
+    with pytest.raises(InputError) as info:
+        HodgeDiamond(rows)
+    assert str(info.value) == "entry (1, 2) is not an integer: 2.5"
+    rows = [list(row) for row in good]
+    rows[1], rows[3][2] = rows[1][:4], 2.5  # a short row, then a bad cell
+    with pytest.raises(InputError) as info:
+        HodgeDiamond(rows)
+    assert str(info.value) == "row 1 has length 4, expected 5"
+    for p in (0, 2, 4):
+        rows = [list(row) for row in good]
+        rows[p][0] = Count(1)  # an int subclass fails the type pass but is an integer
+        assert HodgeDiamond(rows).rows[p][0] == 1
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ((0, 20.0, 0, 20, 0), "entry (1, 1) is not an integer: 20.0"),
     ((0, 20, 0, 20), "row 1 has length 4, expected 5"),

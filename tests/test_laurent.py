@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hkgenus.laurent
+from hkgenus.errors import InputError
 from hkgenus.laurent import LaurentPolynomial, substitute_y_plus_yinv
 from reference_series import compose, naive_convolution
 
@@ -40,8 +41,9 @@ def test_substitute_supertrace_example():
 
 
 def test_substitute_rejects_negative_exponents():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError) as info:
         substitute_y_plus_yinv(LaurentPolynomial({-1: 1}))
+    assert str(info.value) == "substitution requires a polynomial with nonnegative exponents"
 
 
 def test_substitute_always_palindromic():

@@ -115,6 +115,34 @@ def test_primitive_table_checks_entries_in_order():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bad, shown", [(1.0, "1.0"), (True, "True"), ("x", "'x'"), (None, "None")])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_one_bad_primitive_cell_is_named_in_any_row(p, bad, shown):
+    rows = [[1, 0, 1, 0, 1], [0, 20, 0, 20, 0], [1, 0, 1, 0, 1]]
+    rows[p][1] = bad
+    with pytest.raises(InputError) as info:
+        PrimitiveTable(2, rows)
+    assert str(info.value) == f"entry ({p}, 1) is not an integer: {shown}"
+
+
+@pytest.mark.parametrize("rows, message", [
+    # A bad cell, then a short row; a short row, then a bad cell.
+    (((1, 0, 1, "y", 1), (0, 20, 0, 20, 0), (1, 0, 1, 0)), "entry (0, 3) is not an integer: 'y'"),
+    (((1, 0, 1, 0), (0, 20, 0, 20, 0), (1, 0, 1, "y", 1)), "row 0 has length 4, expected 5"),
+    # A negative cell in an earlier row than a bad type, and in a later one.
+    (((1, 0, -1, 0, 1), (0, None, 0, 20, 0), (1, 0, 1, 0, 1)),
+     "negative primitive multiplicity -1 at (p, q) = (0, 2)"),
+    (((1, 0, 1, 0, 1), (0, None, 0, 20, 0), (1, 0, -1, 0, 1)),
+     "entry (1, 1) is not an integer: None"),
+    (((1, 0, 1, 0, 1), (0, 20, 0, 20, 0), (1, 0, 1, 0, Count(-1))),
+     "negative primitive multiplicity -1 at (p, q) = (2, 4)"),
+])
+def test_the_first_failing_primitive_row_is_named(rows, message):
+    with pytest.raises(InputError) as info:
+        PrimitiveTable(2, rows)
+    assert str(info.value) == message
+
+
 def test_each_diamond_is_scanned_once(monkeypatch):
     computed = []
     for name in ("_scan_symmetries", "_primitive_differences"):

@@ -61,6 +61,11 @@ def test_character_base_cases_and_convention():
     assert character(0) == LaurentPolynomial()
     assert character(-3) == LaurentPolynomial()
 
+    class Count(int):
+        pass
+
+    assert character(Count(3)) == character(3) and character(Count(-1)) == LaurentPolynomial()
+
 
 def test_closed_form_matches_the_defining_recursion_from_cold():
     # The recursion t_{r+1} = t t_r - t_{r-1} is built here from LaurentPolynomial
